@@ -235,7 +235,7 @@ def _cmd_floorsum(cfg: RunConfig) -> None:
         split_at = cfg.params["N"]
         if split_at is None:
             raise DomainError("--method dual needs --N")
-        split = floor_sums.sum_dual(kind, x, split_at)
+        split = floor_sums.sum_dual(kind, x, split_at, max_terms=cfg.max_terms)
         payload = {
             "f": kind.label, "x": x, "method": method, "N": split_at,
             "s1": _num_json(split.s1), "s2": _num_json(split.s2),
@@ -244,11 +244,11 @@ def _cmd_floorsum(cfg: RunConfig) -> None:
         }
         value = split.total
     else:
-        fn = floor_sums.sum_direct if method == "direct" else floor_sums.sum_blocked
         if method == "direct":
-            value = fn(kind, x, max_terms=cfg.max_terms)
+            value = floor_sums.sum_direct(kind, x, max_terms=cfg.max_terms)
         else:
-            value = fn(kind, x, threads=cfg.threads)
+            value = floor_sums.sum_blocked(kind, x, threads=cfg.threads,
+                                           max_terms=cfg.max_terms)
         payload = {"f": kind.label, "x": x, "method": method, "value": _num_json(value)}
     if cfg.output_format == "json":
         _emit_json(payload)

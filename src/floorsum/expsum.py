@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -303,8 +302,3 @@ def classify_factorization(k: int, D: int, factors) -> CaseSplit:
             l2 = product // prefix
             return CaseSplit(k, D, factors, "III", t, prefix, l2)
     raise DomainError("factor product below D**(1/3); product precondition violated")
-
-
-def scenario_grid(scenarios: Iterator[ExpSumScenario], pair, lemma=None) -> list[ComparisonReport]:
-    """Convenience: run bound_comparison over many scenarios."""
-    return [bound_comparison(s, pair, lemma) for s in scenarios]

@@ -9,8 +9,9 @@ Three routes are implemented and cross-checked:
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
-  Both the counting form and the sawtooth form of the tail are computed
-  in exact rational arithmetic and their difference is reported.
+  The sawtooth form is evaluated exactly in integer arithmetic over the
+  common denominator d(d+1), through x/d - psi(x/d) - 1/2 = (x - x mod d)/d,
+  and its largest difference from the counting form is reported.
 
 The split threshold follows one fixed boundary rule: n belongs to the
 tail iff n > N, and the tail enumerates exactly the quotient values
@@ -133,29 +134,23 @@ def _check_sum_kind(kind: Kind) -> None:
         raise DomainError(f"floor-quotient sums take lambda or tau kinds, not {kind.label}")
 
 
-def _quotient_runs(x: int, n_max: int, chunk: int) -> Iterator[tuple[int, int]]:
+def _quotient_runs(x: int, n_max: int, chunk: int) -> list[tuple[int, int]]:
     """(q, count) for the maximal runs of q = floor(x/n), n = 1..n_max,
     found by enumerating every n. Runs split by chunk borders are merged,
     so the output does not depend on the chunk size."""
-    carry_q = -1
-    carry_c = 0
+    runs: list[tuple[int, int]] = []
     for lo in range(1, n_max + 1, chunk):
         hi = min(n_max, lo + chunk - 1)
         q = x // np.arange(lo, hi + 1, dtype=np.int64)
-        cuts = np.flatnonzero(q[:-1] != q[1:]) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [q.size]))
-        for s, e in zip(starts, ends):
-            qv = int(q[s])
-            cnt = int(e - s)
-            if qv == carry_q:
-                carry_c += cnt
-            else:
-                if carry_q >= 0:
-                    yield carry_q, carry_c
-                carry_q, carry_c = qv, cnt
-    if carry_q >= 0:
-        yield carry_q, carry_c
+        starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
+        values = q[starts].tolist()
+        counts = np.diff(starts, append=q.size).tolist()
+        if runs and runs[-1][0] == values[0]:
+            runs[-1] = (values[0], runs[-1][1] + counts[0])
+            runs.extend(zip(values[1:], counts[1:]))
+        else:
+            runs.extend(zip(values, counts))
+    return runs
 
 
 def _reduce_weighted(kind: Kind, pairs: Sequence[tuple[int, int]]):
@@ -185,17 +180,29 @@ def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS, chunk:
         raise DomainError("sum_direct needs x >= 1")
     if x > max_terms:
         raise BudgetExceededError(f"direct sum over {x} terms exceeds budget {max_terms}")
-    return _reduce_weighted(kind, list(_quotient_runs(x, x, chunk)))
+    return _reduce_weighted(kind, _quotient_runs(x, x, chunk))
 
 
-def sum_blocked(kind: Kind, x: int, *, threads: int = 1):
+def _check_block_budget(x: int, max_terms: int) -> None:
+    most_blocks = 2 * math.isqrt(x) + 1
+    if most_blocks > max_terms:
+        raise BudgetExceededError(
+            f"up to {most_blocks} blocks at x={x} exceed budget {max_terms}"
+        )
+
+
+def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAULT_MAX_TERMS):
     """S_f(x) over the block decomposition: sum of f(q) * block length.
 
     With threads > 1 the per-block point values are computed by a thread
     pool, but contributions are always reduced in block order, so the
-    result is bit-identical for every thread count.
+    result is bit-identical for every thread count. The block count is
+    at most 2 isqrt(x) + 1, which is checked against max_terms up front.
     """
     _check_sum_kind(kind)
+    if x < 1:
+        raise DomainError("sum_blocked needs x >= 1")
+    _check_block_budget(x, max_terms)
     blocks = distinct_quotients(x).blocks
     pairs = [(b.q, b.n_hi - b.n_lo + 1) for b in blocks]
     if threads > 1:
@@ -209,37 +216,56 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1):
     return _reduce_weighted(kind, pairs)
 
 
-def sum_dual(kind: Kind, x: int, N: int, *, chunk: int = _CHUNK) -> SplitSum:
+def _psi_form_excess(x: int, q: int, n_lo: int, N: int, count: int) -> tuple[int, int]:
+    """(num, den) with num/den = sawtooth form minus count for the tail
+    block of x split at N with quotient q and first index n_lo, exact in
+    integers.
+
+    Uses x/q - psi(x/q) - 1/2 = (x - x % q)/q. An interior block
+    (n_lo > N) has the form x/q - x/(q+1) - psi(x/q) + psi(x/(q+1)) over
+    den = q(q+1); the block straddling N has x/q - psi(x/q) - 1/2 - N over
+    den = q.
+    """
+    if n_lo > N:
+        den = q * (q + 1)
+        return (x - x % q) * (q + 1) - (x - x % (q + 1)) * q - count * den, den
+    return (x - x % q) - N * q - count * q, q
+
+
+def sum_dual(
+    kind: Kind, x: int, N: int, *, chunk: int = _CHUNK, max_terms: int = DEFAULT_MAX_TERMS
+) -> SplitSum:
     """S_f(x) as s1 (n <= N, direct) plus s2 (tail over quotient values).
 
     The tail count for quotient d is computed both by interval arithmetic
     and through the sawtooth expansion; the two are compared exactly in
-    rational arithmetic and the largest absolute difference is reported
-    (it must be 0).
+    integer arithmetic over the denominator d(d+1) and the largest
+    absolute difference is reported as a Fraction (it must be 0).
+    The block count (at most 2 isqrt(x) + 1) and the N direct terms are
+    each checked against max_terms up front.
     """
     _check_sum_kind(kind)
     if x < 1:
         raise DomainError("sum_dual needs x >= 1")
     if not 1 <= N <= x:
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
-    s1 = _reduce_weighted(kind, list(_quotient_runs(x, N, chunk)))
-    half = Fraction(1, 2)
+    _check_block_budget(x, max_terms)
+    if N > max_terms:
+        raise BudgetExceededError(f"direct part over {N} terms exceeds budget {max_terms}")
+    s1 = _reduce_weighted(kind, _quotient_runs(x, N, chunk))
     tail_pairs: list[tuple[int, int]] = []
-    discrepancy = Fraction(0)
+    # largest |num|/den so far, compared by cross-multiplication
+    worst_num, worst_den = 0, 1
     for q, n_lo, n_hi in distinct_quotients(x).blocks:
         if n_hi <= N:
             continue
         count = n_hi - max(n_lo - 1, N)
-        if n_lo > N:
-            count_psi = (
-                Fraction(x, q) - Fraction(x, q + 1) - psi(Fraction(x, q)) + psi(Fraction(x, q + 1))
-            )
-        else:
-            count_psi = Fraction(x, q) - psi(Fraction(x, q)) - half - N
-        discrepancy = max(discrepancy, abs(count_psi - count))
+        num, den = _psi_form_excess(x, q, n_lo, N, count)
+        if abs(num) * worst_den > worst_num * den:
+            worst_num, worst_den = abs(num), den
         tail_pairs.append((q, count))
     s2 = _reduce_weighted(kind, tail_pairs)
-    return SplitSum(x, N, s1, s2, s1 + s2, discrepancy)
+    return SplitSum(x, N, s1, s2, s1 + s2, Fraction(worst_num, worst_den))
 
 
 def geometric_grid(lo: int = 10**4, hi: int = 10**8, ratio: int = 2) -> list[int]:

@@ -62,12 +62,10 @@ class VaalerCheck:
 
     def csv_rows(self) -> Iterator[str]:
         yield "x,psi,psi_star,delta,slack"
-        slack = -self.violations
-        for i, x in enumerate(self.xs):
-            yield (
-                f"{x!r},{self.psi_values[i]!r},{self.psi_star_values[i]!r},"
-                f"{self.delta_values[i]!r},{slack[i]!r}"
-            )
+        columns = (self.xs, self.psi_values, self.psi_star_values, self.delta_values,
+                   -self.violations)
+        for row in zip(*columns):
+            yield ",".join(repr(float(v)) for v in row)
 
 
 def kernel_w(t):

@@ -101,6 +101,14 @@ def test_vaaler_check_json_and_csv(capsys):
     code, out, _ = run(capsys, "vaaler-check", "--H", "5", "--points", "50",
                        "--format", "csv")
     assert out.splitlines()[0] == "x,psi,psi_star,delta,slack"
+    assert "np." not in out
+    rows = out.splitlines()[1:]
+    assert len(rows) == 50
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == 5
+        for cell in cells:
+            float(cell)
 
 
 def test_vaughan_check_json(capsys):
@@ -141,6 +149,13 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("method", ["blocked", "dual"])
+def test_block_methods_respect_max_terms(capsys, method):
+    code, out, err = run(capsys, "floorsum", "--f", "tau2", "--x", str(10**18),
+                         "--method", method, "--N", "1000", "--max-terms", "1000000")
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
 
 
 def test_json_round_trip_schema(capsys):

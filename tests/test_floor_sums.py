@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from floorsum import floor_sums
 from floorsum.constants import ConstantBracket, main_constant
 from floorsum.errors import BracketTooWideError, BudgetExceededError, DomainError
 from floorsum.floor_sums import (
+    _psi_form_excess,
+    _quotient_runs,
     distinct_quotients,
     error_series,
     fit_exponent,
@@ -102,8 +106,29 @@ def test_sum_direct_chunk_size_invariance():
     x = 12345
     for kind in (LAMBDA, tau(2)):
         baseline = sum_direct(kind, x)
-        for chunk in (7, 100, 4096):
+        for chunk in (1, 2, 3, 7, 100, 4096):
             assert sum_direct(kind, x, chunk=chunk) == baseline
+
+
+def rle_quotients(x, n_max):
+    """Oracle for _quotient_runs: run-length encode x // n over n = 1..n_max."""
+    runs = []
+    for q in (x // np.arange(1, n_max + 1, dtype=np.int64)).tolist():
+        if runs and runs[-1][0] == q:
+            runs[-1][1] += 1
+        else:
+            runs.append([q, 1])
+    return [tuple(r) for r in runs]
+
+
+@pytest.mark.parametrize("x, n_max", [(1, 1), (10, 10), (100, 7), (1000, 31), (1000, 1000),
+                                      (12345, 12344), (99991, 5000), (10**6, 3000)])
+def test_quotient_runs_brute_force(x, n_max):
+    expected = rle_quotients(x, n_max)
+    # chunk 1 puts a border inside every run longer than one; the others
+    # split some runs, e.g. q = 1 on (500, 1000] at x = 1000
+    for chunk in (1, 2, 3, 7, 64, n_max, n_max + 5):
+        assert _quotient_runs(x, n_max, chunk) == expected, (x, n_max, chunk)
 
 
 def test_sum_blocked_equals_direct_small():
@@ -181,6 +206,101 @@ def test_sum_dual_grid_both_branches():
             assert split.total == sum_direct(tau(2), x), (x, N)
             assert split.psi_form_discrepancy == 0
             assert split.s1 + split.s2 == split.total
+
+
+def sawtooth_terms(x):
+    """d -> x/d - psi(x/d) on exact Fractions, memoised per d."""
+
+    @functools.cache
+    def term(d):
+        t = Fraction(x, d)
+        return t - psi(t)
+
+    return term
+
+
+def psi_form_excess_oracle(x, q, n_lo, N, count, term=None):
+    """The sawtooth form minus count, built from psi on exact Fractions:
+    x/q - x/(q+1) - psi(x/q) + psi(x/(q+1)) for an interior block,
+    x/q - psi(x/q) - 1/2 - N for the block straddling N."""
+    term = term or sawtooth_terms(x)
+    if n_lo > N:
+        form = term(q) - term(q + 1)
+    else:
+        form = term(q) - Fraction(1, 2) - N
+    return form - count
+
+
+def tail_blocks(x, N):
+    """(q, n_lo, count) for the tail blocks of x split at N, as sum_dual walks them."""
+    for q, n_lo, n_hi in distinct_quotients(x).blocks:
+        if n_hi > N:
+            yield q, n_lo, n_hi - max(n_lo - 1, N)
+
+
+def test_psi_form_excess_matches_psi_oracle_all_x_to_2000():
+    branches = set()
+    for x in range(1, 2001):
+        term = sawtooth_terms(x)
+        splits = {1, math.isqrt(x), math.floor(x ** (7 / 15)), x - 1} - {0}
+        for N in splits:
+            for q, n_lo, count in tail_blocks(x, N):
+                num, den = _psi_form_excess(x, q, n_lo, N, count)
+                assert Fraction(num, den) == psi_form_excess_oracle(x, q, n_lo, N, count, term)
+                assert num == 0, (x, N, q)
+                branches.add(n_lo > N)
+    assert branches == {True, False}
+
+
+def test_psi_form_excess_detects_count_off_by_one():
+    for x in (2, 97, 1000, 123457):
+        for N in {1, math.isqrt(x), x // 3 + 1, x - 1}:
+            for q, n_lo, count in tail_blocks(x, N):
+                for delta in (-1, 1):
+                    num, den = _psi_form_excess(x, q, n_lo, N, count + delta)
+                    assert Fraction(num, den) == -delta
+
+
+def test_sum_dual_reports_miscounted_block(monkeypatch):
+    exact = floor_sums._psi_form_excess
+    for delta in (-1, 1):
+        monkeypatch.setattr(
+            floor_sums, "_psi_form_excess",
+            lambda x, q, n_lo, N, count, d=delta: exact(x, q, n_lo, N, count + d),
+        )
+        assert sum_dual(tau(2), 10**4, 100).psi_form_discrepancy == 1
+
+
+def test_psi_form_excess_at_1e18():
+    x = 10**18
+    r = math.isqrt(x)
+    for n in (1, 2, 3, 999, r - 1, r, r + 1, 10**12, x // 3, x - 1, x):
+        q = x // n
+        n_lo = x // (q + 1) + 1
+        n_hi = x // q
+        for N in {n_lo - 1, n_lo, n_hi - 1} - {0}:
+            count = n_hi - max(n_lo - 1, N)
+            num, den = _psi_form_excess(x, q, n_lo, N, count)
+            assert num == 0 and den in (q, q * (q + 1))
+            assert Fraction(num, den) == psi_form_excess_oracle(x, q, n_lo, N, count)
+            num, den = _psi_form_excess(x, q, n_lo, N, count + 1)
+            assert Fraction(num, den) == psi_form_excess_oracle(x, q, n_lo, N, count + 1) == -1
+
+
+def test_block_sums_respect_term_budget():
+    x = 10**18
+    with pytest.raises(BudgetExceededError):
+        sum_blocked(tau(2), x, max_terms=10**6)
+    with pytest.raises(BudgetExceededError):
+        sum_dual(LAMBDA, x, 1, max_terms=10**6)
+    with pytest.raises(BudgetExceededError):
+        sum_dual(tau(2), 10**6, 10**5, max_terms=10**4)
+    # 2 isqrt(x) + 1 = 2001 blocks at x = 1e6: the bound itself is allowed
+    assert sum_blocked(tau(2), 10**6, max_terms=2001) == sum_direct(tau(2), 10**6)
+    with pytest.raises(BudgetExceededError):
+        sum_blocked(tau(2), 10**6, max_terms=2000)
+    with pytest.raises(DomainError):
+        sum_blocked(tau(2), 0)
 
 
 def test_sum_dual_rejects_bad_split():
