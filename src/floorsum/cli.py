@@ -260,8 +260,16 @@ def _num_json(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _check_terms(cfg: RunConfig) -> None:
+    if cfg.params["terms"] > cfg.max_terms:
+        raise BudgetExceededError(
+            f"{cfg.params['terms']} constant terms exceed budget {cfg.max_terms}"
+        )
+
+
 def _cmd_constant(cfg: RunConfig) -> None:
     kind = _parse_kind(cfg.params["kind"], allow_mu=False)
+    _check_terms(cfg)
     bracket = constants.main_constant(kind, cfg.params["terms"], order=cfg.params["order"])
     payload = {"kind": kind.name, "k": kind.k, "terms": bracket.terms_used,
                "lo": bracket.lo, "hi": bracket.hi}
@@ -275,10 +283,12 @@ def _cmd_constant(cfg: RunConfig) -> None:
 
 def _cmd_errfit(cfg: RunConfig) -> None:
     kind = _parse_kind(cfg.params["f"], allow_mu=False)
+    _check_terms(cfg)
     bracket = constants.main_constant(kind, cfg.params["terms"])
     xs = floor_sums.geometric_grid(cfg.params["x_lo"], cfg.params["x_hi"], cfg.params["ratio"])
     series = floor_sums.error_series(
-        kind, bracket, xs, resolution=cfg.params["resolution"], threads=cfg.threads
+        kind, bracket, xs, resolution=cfg.params["resolution"], threads=cfg.threads,
+        max_terms=cfg.max_terms,
     )
     fit = floor_sums.fit_exponent(series)
     fit_payload = {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual,

@@ -19,6 +19,12 @@ remainder
 which needs no implied constants at all. All bracket arithmetic is
 widened by a small multiple of machine epsilon per operation, so the
 enclosure property is literally true for the float endpoints.
+
+Partial sums run over [1, N] in fixed windows, so memory is bounded by the
+window whatever N is. In each window the von Mangoldt sum reads only the
+sparse prime powers from the sieve's prime-power walk, and the divisor sums
+read a windowed tau_k table. One float part per window is reduced in the
+requested order.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import primes_upto
-from .sieve import Kind, sieve_table, tau as tau_kind
+from .sieve import Kind, prime_powers, sieve_table
 
 _EPS = float(np.finfo(np.float64).eps)
 # Covers per-term evaluation (a handful of roundings each) plus the
@@ -68,48 +74,28 @@ def _combine(parts: list[float], order: str) -> float:
     raise DomainError(f"unknown evaluation order {order!r}")
 
 
-def _lambda_partial(n_terms: int, order: str) -> float:
-    """sum_{n <= N} Lambda(n)/(n(n+1)) with a deterministic reduction.
+def _partial_sums(kind: Kind, n_terms: int, order: str) -> tuple[float, float]:
+    """Partial sums of f(n)/(n(n+1)) and f(n)/n**2 over n <= n_terms, one
+    part per window of _SEGMENT terms, reduced in the given order.
 
-    Only prime powers contribute; primes are enumerated segment by
-    segment, squares and higher powers separately (there are O(sqrt N)
-    of them).
+    Lambda reads the sparse prime powers of each window, f(p**a) = log p,
+    and skips the square sum (0.0), which only the tau tail needs; tau_k
+    reads a sieved table of the window.
     """
-    base = primes_upto(math.isqrt(n_terms))
-    parts = []
-    for s in range(2, n_terms + 1, _SEGMENT):
-        e = min(n_terms, s + _SEGMENT - 1)
-        mark = np.ones(e - s + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((s + p - 1) // p) * p)
-            if start <= e:
-                mark[start - s :: p] = False
-        if s <= 1:
-            mark[: 2 - s] = False
-        ps = (np.flatnonzero(mark) + s).astype(np.float64)
-        parts.append(float(np.sum(np.log(ps) / (ps * (ps + 1.0)))))
-    power_terms = []
-    for p in base:
-        p = int(p)
-        pk = p * p
-        while pk <= n_terms:
-            power_terms.append(math.log(p) / (pk * (pk + 1)))
-            pk *= p
-    parts.append(math.fsum(power_terms))
-    return _combine(parts, order)
-
-
-def _tau_sums(k: int, n_terms: int, order: str) -> tuple[float, float]:
-    """Partial sums of tau_k(n)/(n(n+1)) and tau_k(n)/n**2 up to n_terms."""
-    table = sieve_table(tau_kind(k), 1, n_terms + 1)
+    primes = primes_upto(math.isqrt(n_terms))
     parts_main, parts_sq = [], []
     for s in range(1, n_terms + 1, _SEGMENT):
-        e = min(n_terms, s + _SEGMENT - 1)
-        v = table.values[s - 1 : e].astype(np.float64)
-        n = np.arange(s, e + 1, dtype=np.float64)
+        e = min(n_terms + 1, s + _SEGMENT)
+        if kind.name == "lambda":
+            ns, ps = prime_powers(s, e, primes)
+            n = ns.astype(np.float64)
+            v = np.log(ps.astype(np.float64))
+        else:
+            v = sieve_table(kind, s, e).values.astype(np.float64)
+            n = np.arange(s, e, dtype=np.float64)
         parts_main.append(float(np.sum(v / (n * (n + 1.0)))))
-        parts_sq.append(float(np.sum(v / (n * n))))
+        if kind.name == "tau":
+            parts_sq.append(float(np.sum(v / (n * n))))
     return _combine(parts_main, order), _combine(parts_sq, order)
 
 
@@ -131,14 +117,14 @@ def main_constant(kind: Kind, n_terms: int, *, order: str = "ascending") -> Cons
     if n_terms < 10:
         raise DomainError("main_constant needs at least 10 terms")
     if kind.name == "lambda":
-        partial = _lambda_partial(n_terms, order)
+        partial, _ = _partial_sums(kind, n_terms, order)
         pad = _PAD_REL * partial
         n = float(n_terms)
         tail = (math.log(n) + 1.0) / n + math.log(n + 1.0) / ((n + 1.0) * (n + 1.0))
         tail = tail * (1.0 + 8.0 * _EPS)
         return ConstantBracket(kind, n_terms, partial - pad, partial + pad + tail)
     if kind.name == "tau":
-        partial, partial_sq = _tau_sums(kind.k, n_terms, order)
+        partial, partial_sq = _partial_sums(kind, n_terms, order)
         pad = _PAD_REL * partial
         pad_sq = _PAD_REL * partial_sq
         _, z_hi = _zeta2_power(kind.k)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .constants import ConstantBracket
 from .errors import BracketTooWideError, BudgetExceededError, DomainError
+from .primes import MAX_FACTOR_INPUT
 from .sieve import Kind, point_value
 from .summation import compensated_sum
 
@@ -134,6 +135,12 @@ def _check_sum_kind(kind: Kind) -> None:
         raise DomainError(f"floor-quotient sums take lambda or tau kinds, not {kind.label}")
 
 
+def _check_sum_x(x: int) -> None:
+    # the n = 1 term is f(x), and point_value factors only up to MAX_FACTOR_INPUT
+    if not 1 <= x <= MAX_FACTOR_INPUT:
+        raise DomainError(f"floor-quotient sums need 1 <= x <= {MAX_FACTOR_INPUT}, got {x}")
+
+
 def _quotient_runs(x: int, n_max: int, chunk: int) -> list[tuple[int, int]]:
     """(q, count) for the maximal runs of q = floor(x/n), n = 1..n_max,
     found by enumerating every n. Runs split by chunk borders are merged,
@@ -176,8 +183,7 @@ def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS, chunk:
     far below 1e-10 * terms * max|term|.
     """
     _check_sum_kind(kind)
-    if x < 1:
-        raise DomainError("sum_direct needs x >= 1")
+    _check_sum_x(x)
     if x > max_terms:
         raise BudgetExceededError(f"direct sum over {x} terms exceeds budget {max_terms}")
     return _reduce_weighted(kind, _quotient_runs(x, x, chunk))
@@ -200,8 +206,7 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
     at most 2 isqrt(x) + 1, which is checked against max_terms up front.
     """
     _check_sum_kind(kind)
-    if x < 1:
-        raise DomainError("sum_blocked needs x >= 1")
+    _check_sum_x(x)
     _check_block_budget(x, max_terms)
     blocks = distinct_quotients(x).blocks
     pairs = [(b.q, b.n_hi - b.n_lo + 1) for b in blocks]
@@ -245,8 +250,7 @@ def sum_dual(
     each checked against max_terms up front.
     """
     _check_sum_kind(kind)
-    if x < 1:
-        raise DomainError("sum_dual needs x >= 1")
+    _check_sum_x(x)
     if not 1 <= N <= x:
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
     _check_block_budget(x, max_terms)
@@ -290,6 +294,7 @@ def error_series(
     method: str = "blocked",
     resolution: float | None = None,
     threads: int = 1,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ErrorSeries:
     """Tabulate E(x) = S_f(x) - C_f * x over xs with the constant bracket
     propagated: errors_lo/errors_hi use the bracket endpoints, errors the
@@ -297,6 +302,7 @@ def error_series(
 
     When a resolution is requested, a bracket too wide to resolve it at
     max(xs) raises BracketTooWideError instead of silently proceeding.
+    Every sum is held to max_terms, as in sum_blocked and sum_direct.
     """
     xs = list(xs)
     if any(b >= a for a, b in zip(xs[1:], xs)):
@@ -309,9 +315,9 @@ def error_series(
                 f"above the requested resolution {resolution!r}"
             )
     if method == "blocked":
-        evaluate = lambda x: sum_blocked(kind, x, threads=threads)
+        evaluate = lambda x: sum_blocked(kind, x, threads=threads, max_terms=max_terms)
     elif method == "direct":
-        evaluate = lambda x: sum_direct(kind, x)
+        evaluate = lambda x: sum_direct(kind, x, max_terms=max_terms)
     else:
         raise DomainError(f"unknown method {method!r}")
     mid = bracket.midpoint

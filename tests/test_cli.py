@@ -158,6 +158,24 @@ def test_block_methods_respect_max_terms(capsys, method):
     assert code == EXIT_BUDGET and out == "" and "budget" in err
 
 
+@pytest.mark.parametrize("method", ["direct", "blocked", "dual"])
+def test_sums_beyond_factorization_range_are_domain_errors(capsys, method):
+    # the budget would also refuse these, so exit 3 shows the x check runs first
+    code, out, err = run(capsys, "floorsum", "--f", "tau2", "--x", str(2**63),
+                         "--method", method, "--N", "3", "--max-terms", "10")
+    assert code == EXIT_DOMAIN and out == "" and "x <=" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["errfit", "--f", "tau2", "--x-lo", "1000", "--x-hi", "8000", "--terms", "1000",
+     "--max-terms", "1"],
+    ["constant", "--kind", "lambda", "--terms", "100000", "--max-terms", "10"],
+])
+def test_constant_terms_respect_max_terms(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
+
+
 def test_json_round_trip_schema(capsys):
     _, out, _ = run(capsys, "balance", "--param", "r", "--form", "1/2 - r")
     payload = json.loads(out)

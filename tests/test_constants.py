@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+from floorsum import constants
 from floorsum.constants import main_constant
 from floorsum.errors import DomainError
 from floorsum.sieve import LAMBDA, MU, point_value, tau
@@ -70,6 +71,22 @@ def test_evaluation_orders_overlap():
         a = main_constant(kind, 10**5, order="ascending")
         b = main_constant(kind, 10**5, order="blockwise")
         assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+
+
+def test_window_size_does_not_change_brackets(monkeypatch):
+    # windows of 997 terms tile [1, 10**4] with 11 parts; the float parts
+    # round differently from one window's, so tau agrees to a few ulp
+    # (a gap or overlap of one term would move it by more than 1e-8)
+    single = {k: main_constant(tau(k), 10**4) for k in (2, 3, 4)}
+    monkeypatch.setattr(constants, "_SEGMENT", 997)
+    for k, one in single.items():
+        many = main_constant(tau(k), 10**4)
+        assert many.lo == pytest.approx(one.lo, rel=1e-15, abs=0)
+        assert many.hi == pytest.approx(one.hi, rel=1e-15, abs=0)
+    bracket = main_constant(LAMBDA, 10**4)
+    partial = float(mp_lambda_partial(10**4))
+    assert bracket.lo <= partial <= bracket.hi
+    assert bracket.lo == pytest.approx(partial, rel=1e-12)
 
 
 def test_tau_width_is_zeta_tail():

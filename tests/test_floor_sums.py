@@ -332,6 +332,9 @@ def test_error_series_validation():
     wide = ConstantBracket(LAMBDA, 10, 0.0, 1.0)
     with pytest.raises(BracketTooWideError):
         error_series(LAMBDA, wide, [10**4], resolution=1.0)
+    for method in ("blocked", "direct"):
+        with pytest.raises(BudgetExceededError):
+            error_series(LAMBDA, bracket, [10**6], method=method, max_terms=1000)
 
 
 def test_error_series_csv():

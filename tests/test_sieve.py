@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from floorsum import sieve
 from floorsum.cache import load_table, save_table, sieve_table_cached
 from floorsum.errors import BudgetExceededError, DomainError, FloorsumError
 from floorsum.sieve import (
@@ -13,11 +14,14 @@ from floorsum.sieve import (
     Kind,
     factorize,
     point_value,
+    prime_powers,
     sieve_table,
     tau,
 )
+from floorsum.primes import primes_upto
 
 ALL_KINDS = [LAMBDA, MU, tau(2), tau(3)]
+WALK_KINDS = ALL_KINDS + [tau(4)]
 
 
 def brute_tau_k(k, n):
@@ -68,9 +72,12 @@ def test_sieve_rejects_bad_ranges_and_budget():
         sieve_table(MU, 0, 10)
     with pytest.raises(BudgetExceededError):
         sieve_table(MU, 1, 10**7, max_entries=100)
+    # tau tables are windowed like every kind: the footprint is hi - lo
+    lo = 10**6
+    small = sieve_table(tau(2), lo, lo + 10, max_entries=1000)
+    assert list(small.values) == [point_value(tau(2), n) for n in range(lo, lo + 10)]
     with pytest.raises(BudgetExceededError):
-        # tau footprint is hi, not hi - lo
-        sieve_table(tau(2), 10**6, 10**6 + 10, max_entries=1000)
+        sieve_table(tau(2), lo, lo + 1001, max_entries=1000)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -96,12 +103,34 @@ def test_internal_segment_size_does_not_matter(kind):
 
 
 def test_segments_far_from_origin():
-    lo, hi = 10**6 + 7, 10**6 + 500
-    base = sieve_table(LAMBDA, lo, hi)
-    mu = sieve_table(MU, lo, hi)
-    for n in range(lo, hi):
-        assert base.value(n) == point_value(LAMBDA, n), n
-        assert mu.value(n) == point_value(MU, n), n
+    for lo, hi in [(10**6 + 7, 10**6 + 500), (10**12, 10**12 + 2000)]:
+        for kind in WALK_KINDS:
+            table = sieve_table(kind, lo, hi)
+            for n in range(lo, hi):
+                assert table.value(n) == point_value(kind, n), (kind.label, n)
+
+
+@pytest.mark.parametrize("kind", WALK_KINDS)
+def test_every_small_window_matches_point_value(kind):
+    # covers windows that start or end on a prime power p**a and those
+    # with hi - 1 = p**2, where the walk's prime bound is exact
+    top = 130
+    expected = np.array([0] + [point_value(kind, n) for n in range(1, top)])
+    for lo in range(1, top):
+        for hi in range(lo + 1, top + 1):
+            got = sieve_table(kind, lo, hi).values
+            assert np.array_equal(got, expected[lo:hi]), (kind.label, lo, hi)
+
+
+@pytest.mark.parametrize("block", [sieve._MARK_BLOCK, 97])
+def test_prime_powers_lists_each_prime_power_once(monkeypatch, block):
+    # main_constant sums this list directly, so a repeat would count twice
+    monkeypatch.setattr(sieve, "_MARK_BLOCK", block)
+    for lo, hi in [(1, 2000), (10**6, 10**6 + 3000), (10**12, 10**12 + 2000)]:
+        ns, ps = prime_powers(lo, hi, primes_upto(math.isqrt(hi - 1)))
+        bases = {n: point_value(LAMBDA, n) for n in range(lo, hi)}
+        assert len(ns) == len(set(ns.tolist()))
+        assert dict(zip(ns.tolist(), ps.tolist())) == {n: b for n, b in bases.items() if b > 1}
 
 
 def test_mobius_dirichlet_identity():
