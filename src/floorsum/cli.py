@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-terms", type=int, default=10**9, help="term budget for big sums")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for blocked sums")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; sums are identical for every value")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     common.add_argument("--cache-dir", default=None,
                         help="table cache directory (else FLOORSUM_CACHE)")
@@ -177,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = add_parser("expsum", help="evaluate an exponential sum, optionally against a bound",
-                   csv_columns="scenario,shape,ranges,modulus,trivial or, with --bound, scenario,shape,ranges,measured,bound,ratio,case")
+                   csv_columns="scenario,shape,ranges,modulus,trivial or, with --bound, scenario,shape,ranges,measured,bound,ratio")
     p.add_argument("--shape", choices=expsum.SHAPES, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--h", type=int, default=1)
@@ -435,9 +436,7 @@ def _cmd_expsum(cfg: RunConfig) -> None:
             _emit_json(payload)
         else:
             print("scenario,shape,ranges,modulus,trivial")
-            ranges = ";".join(f"{k}={lo}..{hi}" for k, (lo, hi) in sorted(scenario.ranges().items()))
-            print(f"{scenario.describe()},{scenario.shape},{ranges},"
-                  f"{result.modulus!r},{result.trivial_bound!r}")
+            print(f"{scenario.csv_cells()},{result.modulus!r},{result.trivial_bound!r}")
         return
     pair_arg = _parse_pair(cfg.params["pair"]) if cfg.params["pair"] else None
     report = expsum.bound_comparison(
@@ -449,7 +448,7 @@ def _cmd_expsum(cfg: RunConfig) -> None:
                     "bound": _bound_payload(report.bound), "ratio": report.ratio,
                     "flagged": report.flagged})
     else:
-        print("scenario,shape,ranges,measured,bound,ratio,case")
+        print("scenario,shape,ranges,measured,bound,ratio")
         print(report.csv_row())
 
 

@@ -104,6 +104,12 @@ class ExpSumScenario:
             f"{'|'.join(parts)}|coeffs={self.coeffs}|seed={self.seed}"
         )
 
+    def csv_cells(self) -> str:
+        """The scenario, shape and ranges CSV cells. The description holds
+        commas (n(lo,hi]), so its cell is quoted."""
+        ranges = ";".join(f"{k}={lo}..{hi}" for k, (lo, hi) in sorted(self.ranges().items()))
+        return f'"{self.describe()}",{self.shape},{ranges}'
+
 
 @dataclass(frozen=True)
 class ExpSumResult:
@@ -125,11 +131,7 @@ class ComparisonReport:
     flagged: bool
 
     def csv_row(self) -> str:
-        return (
-            f"{self.scenario.describe()},{self.scenario.shape},"
-            f"{';'.join(f'{k}={lo}..{hi}' for k, (lo, hi) in sorted(self.scenario.ranges().items()))},"
-            f"{self.measured!r},{self.bound.value!r},{self.ratio!r},"
-        )
+        return f"{self.scenario.csv_cells()},{self.measured!r},{self.bound.value!r},{self.ratio!r}"
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ a strided slice. The base kind marks the multiples of each p and takes the
 p**a lying in the window; what stays unmarked is prime. Mobius and tau_k
 multiply the local factor f(p**a) into each multiple and keep the product
 of the walked prime powers, so that n over that product is 1 or one prime
-above sqrt(hi - 1). Memory is O(hi - lo) for every kind. point_value goes
-through factorization and the stars-and-bars formula
-tau_k(p**a) = binomial(a + k - 1, k - 1).
+above sqrt(hi - 1). Memory is O(hi - lo + sqrt(hi)) for every kind, the
+second term for the base primes. point_value goes through factorization
+and the stars-and-bars formula tau_k(p**a) = binomial(a + k - 1, k - 1).
 """
 
 from __future__ import annotations
@@ -193,15 +193,18 @@ def sieve_table(
     """Sieve an ArithmeticTable for n in [lo, hi).
 
     Every kind runs the same prime-power walk segment by segment, so the
-    output is identical for any segmentation and the memory budget is
-    checked against the table's own hi - lo entries. The base kind
-    scatters the sparse prime powers of each segment into b(n).
+    output is identical for any segmentation. The memory budget is
+    checked, before anything is allocated, against the larger of the
+    table's hi - lo entries and the isqrt(hi - 1) entries of the base-prime
+    sieve. The base kind scatters the sparse prime powers of each segment
+    into b(n).
     """
     if not 1 <= lo < hi:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > max_entries:
+    entries = max(hi - lo, math.isqrt(hi - 1))
+    if entries > max_entries:
         raise BudgetExceededError(
-            f"sieve of {kind.label} over [{lo}, {hi}) needs {hi - lo} entries, "
+            f"sieve of {kind.label} over [{lo}, {hi}) needs {entries} entries, "
             f"budget is {max_entries}"
         )
     primes = primes_upto(math.isqrt(hi - 1))

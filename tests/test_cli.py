@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction as F
 
@@ -66,6 +68,13 @@ def test_sieve_csv(capsys):
     assert out.splitlines() == ["n,value", "1,1", "2,-1", "3,-1", "4,0"]
 
 
+def test_sieve_base_primes_count_against_max_entries(capsys):
+    # ten entries, but the base primes up to 1e8 would need 1e8 more
+    code, out, err = run(capsys, "sieve", "--kind", "mu", "--lo", str(10**16),
+                         "--hi", str(10**16 + 10), "--max-entries", "100")
+    assert code == EXIT_BUDGET and out == "" and "budget" in err
+
+
 def test_sieve_cache_round_trip(tmp_path, capsys):
     args = ("sieve", "--kind", "tau2", "--lo", "1", "--hi", "30", "--cache",
             "--cache-dir", str(tmp_path))
@@ -129,6 +138,20 @@ def test_expsum_plain_and_bound(capsys):
                        "--n-lo", "1000", "--bound", "vdc", "--pair", "1/2,1/2")
     payload = json.loads(out)
     assert "ratio" in payload and payload["lemma"] == "VDC"
+
+
+@pytest.mark.parametrize("bound_args, columns", [
+    ((), "scenario,shape,ranges,modulus,trivial"),
+    (("--bound", "vdc", "--pair", "1/2,1/2"), "scenario,shape,ranges,measured,bound,ratio"),
+])
+def test_expsum_csv_rows_match_header(capsys, bound_args, columns):
+    code, out, _ = run(capsys, "expsum", "--shape", "monomial", "--x", "1000000",
+                       "--n-lo", "1000", *bound_args, "--format", "csv")
+    assert code == EXIT_OK
+    header, row = csv.reader(io.StringIO(out))
+    assert ",".join(header) == columns
+    assert len(row) == len(header) and all(row)
+    assert row[0].endswith("seed=0") and row[1] == "monomial"
 
 
 def test_classify_json(capsys):

@@ -134,7 +134,11 @@ def test_quotient_runs_brute_force(x, n_max):
 def test_sum_blocked_equals_direct_small():
     for x in range(1, 2001):
         assert sum_blocked(tau(2), x) == sum_direct(tau(2), x), x
-    for x in range(1, 500):
+    # the table covers all of [1, x] for x <= 992 and x = 1024, where
+    # 32 isqrt(x) >= x; above 992 the largest quotients are factored
+    for x in range(1, 1101):
+        for kind in (tau(3), tau(4)):
+            assert sum_blocked(kind, x) == sum_direct(kind, x), (kind.label, x)
         d, b = sum_direct(LAMBDA, x), sum_blocked(LAMBDA, x)
         assert b == pytest.approx(d, rel=1e-12, abs=1e-12), x
 
@@ -154,6 +158,52 @@ def test_sum_blocked_thread_counts_identical():
     for threads in (2, 8):
         assert sum_blocked(tau(2), x, threads=threads) == base_tau
         assert sum_blocked(LAMBDA, x, threads=threads) == base_lam
+
+
+def test_table_dot_is_exact_past_int64():
+    # true dot 11 * 2**61 > 2**63: an int64 dot would wrap
+    values = np.array([3, 5, 7], dtype=np.int64)
+    counts = np.array([2**62, 2**61, 0], dtype=np.int64)
+    assert floor_sums._table_dot(values, counts) == 3 * 2**62 + 5 * 2**61
+    # max(values) * sum(counts) >= 2**63, true dot below: still exact
+    counts = np.array([1, 1, 2**61], dtype=np.int64)
+    assert floor_sums._table_dot(values[::-1].copy(), counts) == 7 + 5 + 3 * 2**61
+    assert floor_sums._table_dot(values, np.array([1, 2, 3], dtype=np.int64)) == 34
+
+
+@pytest.mark.parametrize("r", [2, 3, 10, 31, 32, 33, 1000])
+def test_sum_blocked_at_square_boundaries(r):
+    # x around r**2 moves isqrt(x) and x // (isqrt(x) + 1), where the
+    # large-quotient side meets the single-n side
+    for x in (r * r - 1, r * r, r * r + r - 1, r * r + r, r * r + 2 * r):
+        for kind in (tau(2), tau(3), tau(4)):
+            assert sum_blocked(kind, x) == sum_direct(kind, x), (kind.label, x)
+        assert sum_blocked(LAMBDA, x) == pytest.approx(sum_direct(LAMBDA, x), rel=1e-12), x
+
+
+def test_sum_blocked_window_size_invariance(monkeypatch):
+    x = 3 * 10**7
+    kinds = (tau(2), tau(3), LAMBDA)
+    whole = [sum_blocked(kind, x) for kind in kinds]
+    # 997-entry windows: about 176 of them, with borders inside the
+    # large-quotient side and inside the single-n side
+    monkeypatch.setattr(floor_sums, "_WINDOW", 997)
+    assert [sum_blocked(kind, x) for kind in kinds] == whole
+
+
+def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):
+    x = 2_100_000_007
+    r = math.isqrt(x)
+    calls = []
+
+    def counted(kind, n):
+        calls.append(n)
+        return point_value(kind, n)
+
+    monkeypatch.setattr(floor_sums, "point_value", counted)
+    sum_blocked(tau(2), x)
+    assert 0 < len(calls) <= r // 32 + 1
+    assert min(calls) > 32 * r
 
 
 def test_psi_values():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_sieve_rejects_bad_ranges_and_budget():
     assert list(small.values) == [point_value(tau(2), n) for n in range(lo, lo + 10)]
     with pytest.raises(BudgetExceededError):
         sieve_table(tau(2), lo, lo + 1001, max_entries=1000)
+
+
+def test_base_prime_sieve_counts_against_budget():
+    # 10 table entries, but isqrt(hi - 1) = 1e8 base-prime entries: refused
+    # before anything is allocated
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        sieve_table(MU, 10**16, 10**16 + 10, max_entries=100)
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(BudgetExceededError):
+        sieve_table(MU, 10**14, 10**14 + 10, max_entries=100)
+    # the larger of the two footprints is what counts
+    assert len(sieve_table(MU, 10**4, 10**4 + 10, max_entries=100).values) == 10
+    with pytest.raises(BudgetExceededError):
+        sieve_table(MU, 10**4 + 1, 10**4 + 2, max_entries=99)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
