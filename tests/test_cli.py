@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from floorsum import error_series, main_constant, tau
 from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 
@@ -223,3 +226,118 @@ def test_exit_codes(capsys):
     assert code == EXIT_DOMAIN
     code, _, _ = run(capsys, "balance", "--param", "r", "--form", "r", "--box", "r=1,0")
     assert code == EXIT_DOMAIN
+
+
+# The byte contract: literal stdout of the exact-valued subcommands in
+# both formats, and which format each one writes by default.
+PINNED = [
+    (("sieve", "--kind", "mu", "--lo", "1", "--hi", "7"), "csv",
+     "n,value\n1,1\n2,-1\n3,-1\n4,0\n5,-1\n6,1\n",
+     '{"hi": 7, "kind": "mu", "lo": 1, "values": [1, -1, -1, 0, -1, 1]}\n'),
+    (("sieve", "--kind", "tau2", "--lo", "10", "--hi", "16"), "csv",
+     "n,value\n10,4\n11,2\n12,6\n13,2\n14,4\n15,4\n",
+     '{"hi": 16, "kind": "tau2", "lo": 10, "values": [4, 2, 6, 2, 4, 4]}\n'),
+    (("floorsum", "--f", "tau2", "--x", "100", "--method", "direct"), "csv",
+     "191\n",
+     '{"f": "tau2", "method": "direct", "value": "191", "x": 100}\n'),
+    (("floorsum", "--f", "tau2", "--x", "100", "--method", "dual", "--N", "10"), "csv",
+     "191\n",
+     '{"N": 10, "f": "tau2", "method": "dual", "psi_form_discrepancy": {"den": "1", "num": "0"}, '
+     '"s1": "49", "s2": "142", "total": "191", "x": 100}\n'),
+    (("exppair", "--word", "BA^5", "--base", "13/84,55/84"), "json",
+     "kappa_num,kappa_den,lambda_num,lambda_den\n1653,3494,880,1747\n",
+     '{"kappa": {"den": "3494", "num": "1653"}, "lambda": {"den": "1747", "num": "880"}, '
+     '"word": "BA^5"}\n'),
+    (("exppair", "--base", "1/2,1/2", "--bound", "vdc", "--Y", "100", "--X", "100"), "json",
+     "kappa_num,kappa_den,lambda_num,lambda_den\n1,2,1,2\n",
+     '{"bound": {"addends": {"1/Y": "0.01", "Y^kappa X^lambda": "100.00000000000004"}, '
+     '"domain_ok": true, "inputs": {"X": "100.0", "Y": "100.0"}, "lemma": "VDC", '
+     '"note": "epsilon factor and implied constant excluded", "value": "100.01000000000005"}, '
+     '"kappa": {"den": "2", "num": "1"}, "lambda": {"den": "2", "num": "1"}, "word": ""}\n'),
+    (("balance", "--param", "r", "--param", "w", "--form", "7/15+r",
+      "--form", "11/24+(7/12)w", "--form", "1/2-w-r"), "json",
+     "parameter,num,den\nr,1,195\nw,3,130\nvalue,92,195\n",
+     '{"active": ["7/15+r", "11/24+(7/12)w", "1/2-w-r"], "assignment": '
+     '{"r": {"den": "195", "num": "1"}, "w": {"den": "130", "num": "3"}}, '
+     '"value": {"den": "195", "num": "92"}}\n'),
+    (("classify", "--k", "2", "--D", str(2**20), "--factors", f"{2**6},{2**14}"), "json",
+     "k,D,factors,case,t,L1,L2\n2,1048576,64;16384,I,,,\n",
+     '{"D": 1048576, "L1": null, "L2": null, "case": "I", "factors": [64, 16384], '
+     '"k": 2, "t": null}\n'),
+    (("classify", "--k", "5", "--D", str(2**20), "--factors", ",".join(["16"] * 5)), "json",
+     "k,D,factors,case,t,L1,L2\n5,1048576,16;16;16;16;16,III,2,256,4096\n",
+     '{"D": 1048576, "L1": 256, "L2": 4096, "case": "III", "factors": [16, 16, 16, 16, 16], '
+     '"k": 5, "t": 2}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, default, csv_out, json_out", PINNED)
+def test_exact_outputs_are_pinned(capsys, argv, default, csv_out, json_out):
+    assert run(capsys, *argv, "--format", "csv") == (EXIT_OK, csv_out, "")
+    assert run(capsys, *argv, "--format", "json") == (EXIT_OK, json_out, "")
+    assert run(capsys, *argv)[1] == {"csv": csv_out, "json": json_out}[default]
+
+
+@pytest.mark.parametrize("argv, which", [
+    (("sieve", "--kind", "lambda", "--lo", "1", "--hi", "5"), 0),
+    (("floorsum", "--f", "tau2", "--x", "4"), None),
+    (("constant", "--kind", "tau2", "--terms", "100"), 0),
+    (("errfit", "--f", "tau2", "--x-lo", "10", "--x-hi", "40", "--terms", "1000"), 0),
+    (("vaaler-check", "--H", "3", "--points", "2"), 0),
+    (("vaughan-check", "--D", "200"), 0),
+    (("exppair", "--word", "A"), 0),
+    (("balance", "--param", "r", "--form", "r"), 0),
+    (("expsum", "--shape", "monomial", "--x", "1000", "--n-lo", "10"), 0),
+    (("expsum", "--shape", "monomial", "--x", "1000", "--n-lo", "10",
+      "--bound", "vdc", "--pair", "1/2,1/2"), 1),
+    (("classify", "--k", "2", "--D", "1024", "--factors", "8,128"), 0),
+])
+def test_csv_header_is_the_help_epilog_columns(capsys, monkeypatch, argv, which):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, help_text, _ = run(capsys, argv[0], "--help")
+    assert code == EXIT_OK
+    columns = re.findall(r"\w+(?:,\w+)+", help_text.split("csv columns:")[1])
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    if which is None:  # a bare value, no header line
+        assert columns == [] and len(out.splitlines()) == 1
+    else:
+        assert out.splitlines()[0] == columns[which]
+
+
+def test_errfit_csv_rows_are_the_error_series(capsys):
+    # the fit needs a third point, so the grid is 10, 20, 40
+    bracket = main_constant(tau(2), 1000)
+    series = error_series(tau(2), bracket, [10, 20, 40])
+    code, out, _ = run(capsys, "errfit", "--f", "tau2", "--x-lo", "10", "--x-hi", "40",
+                       "--terms", "1000", "--format", "csv")
+    assert code == EXIT_OK
+    rows = out.splitlines()
+    assert rows[0] == "x,S,E,C_lo,C_hi" and len(rows) == 5 and rows[1].startswith("10,")
+    assert rows[1:4] == [f"{x},{s!r},{e!r},{bracket.lo!r},{bracket.hi!r}"
+                         for x, s, e in zip(series.xs, series.sums, series.errors)]
+    assert set(json.loads(rows[4])) == {"fit"}
+
+
+def test_expsum_csv_row_of_the_paper_regime(capsys):
+    # x = 1e8, D = x^(8/15) ~ 18478, H = D^2 / x^(1 - 1/195) ~ 3.9
+    x = 10**8
+    d = round(x ** (8 / 15))
+    h_lo = max(1, round(d * d / x ** (1 - 1 / 195) / 2))
+    code, out, _ = run(capsys, "expsum", "--shape", "triple", "--x", str(float(x)),
+                       "--h-lo", str(h_lo), "--m-lo", str(round(math.sqrt(d) / 2)),
+                       "--n-lo", str(round(math.sqrt(d))), "--coeffs", "random",
+                       "--bound", "lwy", "--pair", "1/2,1/2", "--format", "csv")
+    assert code == EXIT_OK
+    _, row = csv.reader(io.StringIO(out))
+    assert "triple" in ",".join(row) and row[1] == "triple"
+    assert math.isfinite(float(row[-1]))
+
+
+def test_vaaler_csv_rows_on_a_two_point_grid(capsys):
+    code, out, _ = run(capsys, "vaaler-check", "--H", "3", "--points", "2", "--x-lo", "0",
+                       "--x-hi", "0.25", "--format", "csv")
+    assert code == EXIT_OK
+    rows = out.splitlines()
+    assert rows[0] == "x,psi,psi_star,delta,slack"
+    assert len(rows) == 3 and rows[1].startswith("0.0,") and rows[2].startswith("0.25,")
