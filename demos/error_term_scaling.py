@@ -10,7 +10,7 @@ while the divisor kind still carries a visible secondary term at small x
 (it crosses the same ceiling at x = 1e4 and 2e4).
 """
 
-from floorsum import LAMBDA, error_series, fit_exponent, geometric_grid, main_constant, tau
+from floorsum import LAMBDA, cli, error_series, fit_exponent, geometric_grid, main_constant, tau
 
 grid = geometric_grid(10**4, 10**7, 2)
 for kind, terms in ((LAMBDA, 10**7), (tau(2), 10**6)):
@@ -26,7 +26,5 @@ for kind, terms in ((LAMBDA, 10**7), (tau(2), 10**6)):
           f"({fit.points_used} points, {fit.points_excluded} excluded)")
     print()
 
-print("CSV form (the errfit subcommand emits this):")
-bracket = main_constant(LAMBDA, 10**6)
-for row in error_series(LAMBDA, bracket, geometric_grid(10**4, 10**5, 2)).csv_rows():
-    print(" ", row)
+print("CSV form, from the errfit subcommand:")
+cli.main(["errfit", "--f", "lambda", "--x-lo", "10000", "--x-hi", "100000", "--terms", "1000000"])

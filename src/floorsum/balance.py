@@ -154,6 +154,9 @@ def minimize_max(
         for name in f.coefficients:
             if name not in parameters:
                 raise DomainError(f"form {f.label!r} uses undeclared parameter {name!r}")
+    for name in box:
+        if name not in parameters:
+            raise DomainError(f"box for undeclared parameter {name!r}")
     bounds: dict[str, tuple[Fraction, Fraction]] = {}
     for name in parameters:
         if name not in box:

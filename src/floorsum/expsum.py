@@ -104,12 +104,6 @@ class ExpSumScenario:
             f"{'|'.join(parts)}|coeffs={self.coeffs}|seed={self.seed}"
         )
 
-    def csv_cells(self) -> str:
-        """The scenario, shape and ranges CSV cells. The description holds
-        commas (n(lo,hi]), so its cell is quoted."""
-        ranges = ";".join(f"{k}={lo}..{hi}" for k, (lo, hi) in sorted(self.ranges().items()))
-        return f'"{self.describe()}",{self.shape},{ranges}'
-
 
 @dataclass(frozen=True)
 class ExpSumResult:
@@ -129,9 +123,6 @@ class ComparisonReport:
     bound: BoundEvaluation
     ratio: float
     flagged: bool
-
-    def csv_row(self) -> str:
-        return f"{self.scenario.csv_cells()},{self.measured!r},{self.bound.value!r},{self.ratio!r}"
 
 
 @dataclass(frozen=True)

@@ -99,11 +99,6 @@ class ErrorSeries:
     errors_lo: tuple[float, ...]
     errors_hi: tuple[float, ...]
 
-    def csv_rows(self) -> Iterator[str]:
-        yield "x,S,E,C_lo,C_hi"
-        for x, s, e in zip(self.xs, self.sums, self.errors):
-            yield f"{x},{s!r},{e!r},{self.bracket.lo!r},{self.bracket.hi!r}"
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -200,14 +195,6 @@ def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS, chunk:
     return _reduce_weighted(kind, _quotient_runs(x, x, chunk))
 
 
-def _check_block_budget(x: int, max_terms: int) -> None:
-    most_blocks = 2 * math.isqrt(x) + 1
-    if most_blocks > max_terms:
-        raise BudgetExceededError(
-            f"up to {most_blocks} blocks at x={x} exceed budget {max_terms}"
-        )
-
-
 def _table_dot(values: np.ndarray, counts: np.ndarray) -> int:
     """Exact sum of values * counts over non-negative int64 arrays.
 
@@ -260,15 +247,22 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
     collect every count * log(b) term and reduce them once with math.fsum,
     which is exactly rounded, so the result does not depend on windowing
     or order. threads is accepted for compatibility and does not change
-    the result. The block count, at most 2 r + 1, is checked against
-    max_terms up front.
+    the result. The work, T sieved entries plus x // (T + 1) factored
+    quotients, is charged to max_terms before any of it is done: 32031 at
+    x = 1e6, so the default budget of 10**9 stops sum_blocked above
+    x ~ 9.75e14.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
-    _check_block_budget(x, max_terms)
     table_top = min(x, _TABLE_FACTOR * math.isqrt(x))
     # x // n > table_top exactly for n <= x // (table_top + 1)
-    points = [point_value(kind, x // n) for n in range(1, x // (table_top + 1) + 1)]
+    point_count = x // (table_top + 1)
+    if table_top + point_count > max_terms:
+        raise BudgetExceededError(
+            f"{table_top} table entries and {point_count} points at x={x} "
+            f"exceed budget {max_terms}"
+        )
+    points = [point_value(kind, x // n) for n in range(1, point_count + 1)]
     windows = _table_windows(kind, x, table_top)
     if kind.name == "tau":
         return sum(_table_dot(v, c) for v, c in windows) + sum(points)
@@ -310,7 +304,9 @@ def sum_dual(
     _check_sum_x(x)
     if not 1 <= N <= x:
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
-    _check_block_budget(x, max_terms)
+    most_blocks = 2 * math.isqrt(x) + 1
+    if most_blocks > max_terms:
+        raise BudgetExceededError(f"up to {most_blocks} blocks at x={x} exceed budget {max_terms}")
     if N > max_terms:
         raise BudgetExceededError(f"direct part over {N} terms exceeds budget {max_terms}")
     s1 = _reduce_weighted(kind, _quotient_runs(x, N, chunk))

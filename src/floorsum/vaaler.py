@@ -19,7 +19,6 @@ check_vaaler_inequality measures the worst violation over a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,13 +58,6 @@ class VaalerCheck:
     @property
     def min_delta(self) -> float:
         return float(np.min(self.delta_values))
-
-    def csv_rows(self) -> Iterator[str]:
-        yield "x,psi,psi_star,delta,slack"
-        columns = (self.xs, self.psi_values, self.psi_star_values, self.delta_values,
-                   -self.violations)
-        for row in zip(*columns):
-            yield ",".join(repr(float(v)) for v in row)
 
 
 def kernel_w(t):

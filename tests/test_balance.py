@@ -143,6 +143,8 @@ def test_validation_errors():
         minimize_max([parse_form("q + 1")], ["r"], {"r": (F(0), F(1))})
     with pytest.raises(DomainError):
         minimize_max([parse_form("r")], ["r"], {})
+    with pytest.raises(DomainError, match="undeclared"):
+        minimize_max([parse_form("r")], ["r"], {"r": (F(0), F(1)), "q": (F(0), F(1))})
     with pytest.raises(InfeasibleBoxError):
         minimize_max([parse_form("r")], ["r"], {"r": (F(1), F(0))})
 

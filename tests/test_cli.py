@@ -5,9 +5,10 @@ import math
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from floorsum import error_series, main_constant, tau
+from floorsum import decompose, error_series, main_constant, tau
 from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 
@@ -226,6 +227,31 @@ def test_exit_codes(capsys):
     assert code == EXIT_DOMAIN
     code, _, _ = run(capsys, "balance", "--param", "r", "--form", "r", "--box", "r=1,0")
     assert code == EXIT_DOMAIN
+    for factors in ("a,b", "32,32,"):
+        code, out, err = run(capsys, "classify", "--k", "2", "--D", "1024", "--factors", factors)
+        assert code == EXIT_DOMAIN and out == "" and "--factors" in err
+    code, out, err = run(capsys, "vaughan-check", "--D", "1000", "--D1", "900")
+    assert code == EXIT_DOMAIN and out == "" and "D1 must lie in (D, 2D]" in err
+
+
+def test_box_for_an_undeclared_parameter_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "balance", "--param", "r", "--form", "r", "--box", "q=0,1")
+    assert code == EXIT_DOMAIN and out == "" and "undeclared parameter 'q'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["vaaler-check", "--H", "5", "--points", "10", "--x-hi", "inf"],
+    ["vaaler-check", "--H", "5", "--points", "10", "--x-lo", "nan", "--format", "csv"],
+    ["vaughan-check", "--D", "500", "--g", "phase", "--g-x", "nan"],
+    ["expsum", "--shape", "monomial", "--x", "inf", "--n-lo", "10"],
+    ["exppair", "--bound", "vdc", "--Y", "nan", "--X", "100"],
+    ["exppair", "--bound", "former", "--x=-inf", "--D", "100"],
+    ["errfit", "--f", "tau2", "--x-lo", "1000", "--x-hi", "8000", "--terms", "1000",
+     "--resolution", "nan"],
+])
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "not a finite number" in err
 
 
 # The byte contract: literal stdout of the exact-valued subcommands in
@@ -301,8 +327,22 @@ def test_csv_header_is_the_help_epilog_columns(capsys, monkeypatch, argv, which)
     assert code == EXIT_OK
     if which is None:  # a bare value, no header line
         assert columns == [] and len(out.splitlines()) == 1
-    else:
-        assert out.splitlines()[0] == columns[which]
+        return
+    header, *rows = csv.reader(line for line in out.splitlines() if not line.startswith("{"))
+    assert ",".join(header) == columns[which]
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_vaughan_csv_row_splits_complex_cells(capsys):
+    # --g random --seed 3 draws the weights from default_rng(3) on (D, 2D]
+    dec = decompose(500, np.exp(2j * np.pi * np.random.default_rng(3).random(500)))
+    code, out, _ = run(capsys, "vaughan-check", "--D", "500", "--g", "random", "--seed", "3",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    parts = [dec.t1, dec.t2, dec.t3, dec.direct]
+    cells = [repr(getattr(z, part)) for z in parts for part in ("real", "imag")]
+    assert out.splitlines()[1] == ",".join(
+        map(str, [dec.D, dec.D1, dec.U, *cells, repr(dec.abs_err), repr(dec.rel_err)]))
 
 
 def test_errfit_csv_rows_are_the_error_series(capsys):

@@ -162,9 +162,8 @@ def test_bound_comparison_paper_regime_row():
     s = ExpSumScenario(shape="triple", x=float(x), h_lo=h_lo, m_lo=m_lo, n_lo=n_lo,
                        coeffs="random")
     report = bound_comparison(s, pair(F(1, 2), F(1, 2)), "LWY")
-    row = report.csv_row()
     assert report.measured <= report.trivial_bound + 1e-9
-    assert "triple" in row and math.isfinite(report.ratio)
+    assert math.isfinite(report.ratio)
 
 
 def test_classify_examples():

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -345,10 +346,16 @@ def test_block_sums_respect_term_budget():
         sum_dual(LAMBDA, x, 1, max_terms=10**6)
     with pytest.raises(BudgetExceededError):
         sum_dual(tau(2), 10**6, 10**5, max_terms=10**4)
-    # 2 isqrt(x) + 1 = 2001 blocks at x = 1e6: the bound itself is allowed
-    assert sum_blocked(tau(2), 10**6, max_terms=2001) == sum_direct(tau(2), 10**6)
+    # 32000 table entries plus 10**6 // 32001 = 31 factored points at x = 1e6:
+    # the charge itself is allowed
+    assert sum_blocked(tau(2), 10**6, max_terms=32031) == sum_direct(tau(2), 10**6)
     with pytest.raises(BudgetExceededError):
-        sum_blocked(tau(2), 10**6, max_terms=2000)
+        sum_blocked(tau(2), 10**6, max_terms=32030)
+    # at x = 1e12 the table alone is 32e6 entries: refused before any work
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        sum_blocked(tau(2), 10**12, max_terms=2_000_001)
+    assert time.perf_counter() - start < 0.1
     with pytest.raises(DomainError):
         sum_blocked(tau(2), 0)
 
@@ -385,14 +392,6 @@ def test_error_series_validation():
     for method in ("blocked", "direct"):
         with pytest.raises(BudgetExceededError):
             error_series(LAMBDA, bracket, [10**6], method=method, max_terms=1000)
-
-
-def test_error_series_csv():
-    bracket = main_constant(tau(2), 1000)
-    series = error_series(tau(2), bracket, [10, 20])
-    rows = list(series.csv_rows())
-    assert rows[0] == "x,S,E,C_lo,C_hi"
-    assert len(rows) == 3 and rows[1].startswith("10,")
 
 
 def test_geometric_grid():

@@ -156,9 +156,3 @@ def test_check_rejects_bad_grid():
     with pytest.raises(DomainError):
         check_vaaler_inequality(5, np.array([]))
 
-
-def test_csv_rows():
-    report = check_vaaler_inequality(3, np.array([0.0, 0.25]))
-    rows = list(report.csv_rows())
-    assert rows[0] == "x,psi,psi_star,delta,slack"
-    assert len(rows) == 3
