@@ -15,7 +15,6 @@ from floorsum import (
     ExpSumScenario,
     bound_comparison,
     classify_factorization,
-    compute_expsum,
     pair,
 )
 
@@ -42,11 +41,6 @@ for lemma in ("LWY", "RS"):
     print(f"  {lemma}: measured {rep.measured:.2f}, bound {rep.bound.value:.2e}, "
           f"ratio {rep.ratio:.2e}, flagged={rep.flagged}")
 
-print()
-print("determinism: the compensated reduction is chunking-independent:")
-s = ExpSumScenario(shape="monomial", x=98765.0, h=3, n_lo=4096, coeffs="random", seed=7)
-vals = [compute_expsum(s, chunk=c).modulus for c in (None, 17, 1 << 12)]
-print(f"  moduli: {vals[0]!r} / {vals[1]!r} / {vals[2]!r}")
 
 print()
 print("case classification of dyadic factorizations (exact cube comparisons):")

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import re
+import signal
 import sys
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple
@@ -269,14 +270,15 @@ def _cmd_floorsum(args) -> Report:
     return Report(payload, [(value,)])
 
 
-def _check_terms(args) -> None:
-    if args.terms > args.max_terms:
-        raise BudgetExceededError(f"{args.terms} constant terms exceed budget {args.max_terms}")
+def _charge(args, terms: int, what: str) -> None:
+    """Refuse, before any allocation, work of more than --max-terms terms."""
+    if terms > args.max_terms:
+        raise BudgetExceededError(f"{terms} {what} exceed budget {args.max_terms}")
 
 
 def _cmd_constant(args) -> Report:
     kind = _parse_kind(args.kind, allow_mu=False)
-    _check_terms(args)
+    _charge(args, args.terms, "constant terms")
     bracket = constants.main_constant(kind, args.terms, order=args.order)
     payload = {"kind": kind.name, "k": kind.k, "terms": bracket.terms_used,
                "lo": bracket.lo, "hi": bracket.hi}
@@ -285,7 +287,7 @@ def _cmd_constant(args) -> Report:
 
 def _cmd_errfit(args) -> Report:
     kind = _parse_kind(args.f, allow_mu=False)
-    _check_terms(args)
+    _charge(args, args.terms, "constant terms")
     bracket = constants.main_constant(kind, args.terms)
     xs = floor_sums.geometric_grid(args.x_lo, args.x_hi, args.ratio)
     series = floor_sums.error_series(kind, bracket, xs, resolution=args.resolution,
@@ -302,6 +304,7 @@ def _cmd_errfit(args) -> Report:
 def _cmd_vaaler_check(args) -> Report:
     if args.points < 2 or args.x_hi <= args.x_lo:
         raise DomainError("need points >= 2 and x-hi > x-lo")
+    _charge(args, args.points * args.H, "grid points times H")
     check = vaaler.check_vaaler_inequality(args.H, np.linspace(args.x_lo, args.x_hi, args.points))
     payload = {"H": args.H, "points": args.points, "max_violation": check.max_violation,
                "min_delta": check.min_delta}
@@ -313,6 +316,8 @@ def _cmd_vaaler_check(args) -> Report:
 def _cmd_vaughan_check(args) -> Report:
     if args.g == "phase" and args.g_x is None:
         raise DomainError("--g phase needs --g-x")
+    # decompose holds O(D1) float arrays, D1 = 2D by default
+    _charge(args, 2 * args.D if args.D1 is None else args.D1, "weights up to D1")
     # g as a callable, so decompose checks D and D1 before any weights exist
     weights = {
         "unit": lambda d: np.ones(d.size, dtype=np.complex128),
@@ -433,6 +438,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (floorsum sieve ... | head) ends
+    # the process quietly, as it does other command-line filters
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

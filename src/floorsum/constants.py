@@ -20,11 +20,11 @@ which needs no implied constants at all. All bracket arithmetic is
 widened by a small multiple of machine epsilon per operation, so the
 enclosure property is literally true for the float endpoints.
 
-Partial sums run over [1, N] in fixed windows, so memory is bounded by the
-window whatever N is. In each window the von Mangoldt sum reads only the
-sparse prime powers from the sieve's prime-power walk, and the divisor sums
-read a windowed tau_k table. One float part per window is reduced in the
-requested order.
+Partial sums run over [1, N] in the windows of sieve.windows, so memory is
+bounded by the one window size, sieve._WINDOW, whatever N is. In each
+window the von Mangoldt sum reads only the sparse prime powers from the
+sieve's prime-power walk, and the divisor sums read a tau_k table of the
+window. One float part per window is reduced in the requested order.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import primes_upto
-from .sieve import Kind, prime_powers, sieve_table
+from .sieve import Kind, prime_powers, sieve_table, windows
 
 _EPS = float(np.finfo(np.float64).eps)
 # Covers per-term evaluation (a handful of roundings each) plus the
 # pairwise chunk reduction; generous by an order of magnitude.
 _PAD_REL = 64.0 * _EPS
-
-_SEGMENT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def _combine(parts: list[float], order: str) -> float:
 
 def _partial_sums(kind: Kind, n_terms: int, order: str) -> tuple[float, float]:
     """Partial sums of f(n)/(n(n+1)) and f(n)/n**2 over n <= n_terms, one
-    part per window of _SEGMENT terms, reduced in the given order.
+    part per window of sieve.windows, reduced in the given order.
 
     Lambda reads the sparse prime powers of each window, f(p**a) = log p,
     and skips the square sum (0.0), which only the tau tail needs; tau_k
@@ -84,8 +82,7 @@ def _partial_sums(kind: Kind, n_terms: int, order: str) -> tuple[float, float]:
     """
     primes = primes_upto(math.isqrt(n_terms))
     parts_main, parts_sq = [], []
-    for s in range(1, n_terms + 1, _SEGMENT):
-        e = min(n_terms + 1, s + _SEGMENT)
+    for s, e in windows(1, n_terms + 1):
         if kind.name == "lambda":
             ns, ps = prime_powers(s, e, primes)
             n = ns.astype(np.float64)

@@ -2,10 +2,11 @@
 
 compute_expsum evaluates the concrete sums whose sizes the bound formulas
 estimate: a single dyadic range with phase h*x/(n + delta), the bilinear
-type-II shape over two dyadic ranges, or the full (h, m, n) triple. Terms
-are always added in ascending index order (lexicographic for the
-multi-range shapes) through a fixed compensated reduction, so the value
-is deterministic and independent of internal chunking.
+type-II shape over two dyadic ranges, or the full (h, m, n) triple; the
+bilinear shape is the triple one with the single multiplier h. Terms are
+always added in ascending index order (lexicographic for the multi-range
+shapes) through a fixed compensated reduction, so the value is
+deterministic.
 
 Coefficient choices mirror the bound hypotheses, which require weights of
 modulus at most 1: unit weights, Mobius weights, von Mangoldt weights
@@ -158,12 +159,7 @@ def _phase_values(x: float, h: int, base: np.ndarray, delta: int) -> np.ndarray:
     return np.exp(2j * np.pi * (h * x / (base + delta)))
 
 
-def compute_expsum(
-    scenario: ExpSumScenario,
-    *,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    chunk: int | None = None,
-) -> ExpSumResult:
+def compute_expsum(scenario: ExpSumScenario, *, max_terms: int = DEFAULT_MAX_TERMS) -> ExpSumResult:
     """Evaluate the scenario's sum exactly as specified: terms in
     ascending index order, compensated accumulation, phase
     h * x / (index product + delta)."""
@@ -176,40 +172,25 @@ def compute_expsum(
     n = np.arange(n_lo + 1, 2 * n_lo + 1, dtype=np.float64)
     if scenario.shape == "monomial":
         a_n = _coeff_array(scenario.coeffs, n_lo, scenario.seed)
-        terms = a_n * _phase_values(x, scenario.h, n, delta)
-        if chunk is None:
-            value = compensated_complex_sum(terms)
-        else:
-            parts = [terms[i : i + chunk] for i in range(0, len(terms), chunk)]
-            value = complex(sum(compensated_complex_sum(p) for p in parts))
+        value = compensated_complex_sum(a_n * _phase_values(x, scenario.h, n, delta))
         trivial = float(np.sum(np.abs(a_n)))
         return ExpSumResult(scenario, value, abs(value), scenario.term_count, trivial)
 
     m_lo = scenario.m_lo
-    m_range = range(m_lo + 1, 2 * m_lo + 1)
     b_m = _coeff_array(scenario.coeffs, m_lo, scenario.seed)
+    # the bilinear shape is the triple one over the single multiplier h
     if scenario.shape == "bilinear":
-        if scenario.coeffs == "random":
-            a_n = _coeff_array("random", n_lo, scenario.seed + 1)
-        else:
-            a_n = np.ones(n_lo, dtype=np.complex128)
-        partials = []
-        for i, m in enumerate(m_range):
-            terms = a_n * _phase_values(x, scenario.h, m * n, delta)
-            partials.append(b_m[i] * np.sum(terms))
-        value = compensated_complex_sum(np.array(partials, dtype=np.complex128))
-        trivial = float(np.sum(np.abs(b_m)) * np.sum(np.abs(a_n)))
-        return ExpSumResult(scenario, value, abs(value), scenario.term_count, trivial)
-
-    h_lo = scenario.h_lo
-    if scenario.coeffs == "random":
-        rng = np.random.default_rng(scenario.seed + 2)
-        a_hn = np.exp(2j * np.pi * rng.random((h_lo, n_lo)))
+        hs, a_seed = [scenario.h], scenario.seed + 1
     else:
-        a_hn = np.ones((h_lo, n_lo), dtype=np.complex128)
+        hs, a_seed = range(scenario.h_lo + 1, 2 * scenario.h_lo + 1), scenario.seed + 2
+    if scenario.coeffs == "random":
+        rng = np.random.default_rng(a_seed)
+        a_hn = np.exp(2j * np.pi * rng.random((len(hs), n_lo)))
+    else:
+        a_hn = np.ones((len(hs), n_lo), dtype=np.complex128)
     partials = []
-    for hi, h in enumerate(range(h_lo + 1, 2 * h_lo + 1)):
-        for mi, m in enumerate(m_range):
+    for hi, h in enumerate(hs):
+        for mi, m in enumerate(range(m_lo + 1, 2 * m_lo + 1)):
             terms = a_hn[hi] * _phase_values(x, h, m * n, delta)
             partials.append(b_m[mi] * np.sum(terms))
     value = compensated_complex_sum(np.array(partials, dtype=np.complex128))

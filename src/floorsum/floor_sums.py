@@ -2,12 +2,12 @@
 
 Three routes are implemented and cross-checked:
 
-* sum_direct enumerates every n from 1 to x (in fixed-size chunks) and
-  adds the point value at each quotient;
+* sum_direct enumerates every n from 1 to x, window by window (see
+  sieve.windows), and adds the point value at each quotient;
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
-  whose counts are formed as numpy arrays; f(q) is read from windowed
-  sieve tables for q <= 32 isqrt(x), and only the larger quotients, about
-  isqrt(x) / 32 of them, are factored;
+  whose counts are formed as numpy arrays; f(q) is read from sieve tables,
+  one per window of sieve.windows, for q <= 32 isqrt(x), and only the
+  larger quotients, about isqrt(x) / 32 of them, are factored;
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
@@ -22,8 +22,8 @@ N is clipped at N (its sawtooth form uses floor(x/d) = x/d - psi(x/d) -
 1/2 against the exact lower limit N).
 
 Divisor-kind sums are exact integers. Von Mangoldt sums add count *
-log(base) contributions: sum_direct and sum_dual through a compensated
-reduction, sum_blocked through one exactly rounded math.fsum. Since
+log(base) contributions, in all three routes through one exactly rounded
+math.fsum, so no result depends on the window size. Since
 sum_blocked takes f from the sieve and the other two from factorization,
 comparing them checks f as well as the grouping.
 """
@@ -42,16 +42,11 @@ import numpy as np
 from .constants import ConstantBracket
 from .errors import BracketTooWideError, BudgetExceededError, DomainError
 from .primes import MAX_FACTOR_INPUT
-from .sieve import Kind, point_value, sieve_table
-from .summation import compensated_sum
+from .sieve import Kind, point_value, sieve_table, windows
 
 DEFAULT_MAX_TERMS = 10**9
-_CHUNK = 1 << 22
-# sum_blocked reads f from sieve tables up to _TABLE_FACTOR * isqrt(x),
-# in windows of _WINDOW entries: at x = 1e12 on a 2-core VM, windows of
-# 2**20 ran as fast as 2**22 and peaked at 104 MB instead of 260 MB
+# sum_blocked reads f from sieve tables up to _TABLE_FACTOR * isqrt(x)
 _TABLE_FACTOR = 32
-_WINDOW = 1 << 20
 
 
 class Block(NamedTuple):
@@ -147,14 +142,17 @@ def _check_sum_x(x: int) -> None:
         raise DomainError(f"floor-quotient sums need 1 <= x <= {MAX_FACTOR_INPUT}, got {x}")
 
 
-def _quotient_runs(x: int, n_max: int, chunk: int) -> list[tuple[int, int]]:
+def _quotient_runs(x: int, n_max: int) -> list[tuple[int, int]]:
     """(q, count) for the maximal runs of q = floor(x/n), n = 1..n_max,
-    found by enumerating every n. Runs split by chunk borders are merged,
-    so the output does not depend on the chunk size."""
+    found by enumerating every n window by window. Runs split by window
+    borders are merged, so the output does not depend on the window size."""
     runs: list[tuple[int, int]] = []
-    for lo in range(1, n_max + 1, chunk):
-        hi = min(n_max, lo + chunk - 1)
-        q = x // np.arange(lo, hi + 1, dtype=np.int64)
+    for lo, hi in windows(1, n_max + 1):
+        # divided in place: with a second window-sized temporary the freed
+        # heap top outgrew glibc's trim threshold, so each window faulted
+        # its pages in again (x near 2e6: 28 ms per enumeration, not 15)
+        q = np.arange(lo, hi, dtype=np.int64)
+        np.floor_divide(x, q, out=q)
         starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
         values = q[starts].tolist()
         counts = np.diff(starts, append=q.size).tolist()
@@ -167,32 +165,28 @@ def _quotient_runs(x: int, n_max: int, chunk: int) -> list[tuple[int, int]]:
 
 
 def _reduce_weighted(kind: Kind, pairs: Sequence[tuple[int, int]]):
-    """sum of f(q) * count over (q, count) pairs, in the given order."""
+    """sum of f(q) * count over (q, count) pairs: an exact integer for
+    tau, one exactly rounded math.fsum of count * log(base) for lambda."""
     if kind.name == "tau":
         total = 0
         for q, cnt in pairs:
             total += point_value(kind, q) * cnt
         return total
-    contribs = []
-    for q, cnt in pairs:
-        b = point_value(kind, q)
-        if b > 1:
-            contribs.append(cnt * math.log(b))
-    return compensated_sum(np.array(contribs, dtype=np.float64))
+    bases = ((point_value(kind, q), cnt) for q, cnt in pairs)
+    return math.fsum(cnt * math.log(b) for b, cnt in bases if b > 1)
 
 
-def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS, chunk: int = _CHUNK):
+def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     """S_f(x) by the literal loop over n = 1..x.
 
     Exact integer for tau kinds. For lambda the per-run contributions
-    count * log(base) go through a compensated reduction whose error is
-    far below 1e-10 * terms * max|term|.
+    count * log(base) are reduced by one exactly rounded math.fsum.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
     if x > max_terms:
         raise BudgetExceededError(f"direct sum over {x} terms exceeds budget {max_terms}")
-    return _reduce_weighted(kind, _quotient_runs(x, x, chunk))
+    return _reduce_weighted(kind, _quotient_runs(x, x))
 
 
 def _table_dot(values: np.ndarray, counts: np.ndarray) -> int:
@@ -214,8 +208,8 @@ def _lambda_terms(bases: np.ndarray, counts: np.ndarray) -> list[float]:
 
 
 def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(f values, block counts) for q in windows [lo, hi) covering
-    [1, table_top], where table_top >= isqrt(x).
+    """(f values, block counts) for q in the windows [lo, hi) of
+    sieve.windows covering [1, table_top], where table_top >= isqrt(x).
 
     The count of q is the number of n with floor(x/n) = q: for
     q <= x // (r + 1), r = isqrt(x), that is x // q - x // (q + 1), all
@@ -223,8 +217,7 @@ def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndar
     """
     r = math.isqrt(x)
     q_max = x // (r + 1)
-    for lo in range(1, table_top + 1, _WINDOW):
-        hi = min(table_top + 1, lo + _WINDOW)
+    for lo, hi in windows(1, table_top + 1):
         counts = np.zeros(hi - lo, dtype=np.int64)
         top = min(hi, q_max + 1)
         if lo < top:
@@ -241,7 +234,7 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
 
     Block counts are formed as arrays window by window (see
     _table_windows). With r = isqrt(x), f(q) for q <= T = min(x, 32 r) is
-    read from sieve_table windows of at most 2**20 entries, streamed so
+    read from one sieve_table per window of sieve.windows, streamed so
     that memory is O(window); only the quotients x // n > T, about r / 32
     of them, are factored by point_value. tau sums are exact integers; Lambda sums
     collect every count * log(b) term and reduce them once with math.fsum,
@@ -263,11 +256,11 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
             f"exceed budget {max_terms}"
         )
     points = [point_value(kind, x // n) for n in range(1, point_count + 1)]
-    windows = _table_windows(kind, x, table_top)
+    tables = _table_windows(kind, x, table_top)
     if kind.name == "tau":
-        return sum(_table_dot(v, c) for v, c in windows) + sum(points)
+        return sum(_table_dot(v, c) for v, c in tables) + sum(points)
 
-    table_terms = chain.from_iterable(_lambda_terms(v, c) for v, c in windows)
+    table_terms = chain.from_iterable(_lambda_terms(v, c) for v, c in tables)
     point_terms = (math.log(b) for b in points if b > 1)
     return math.fsum(chain(table_terms, point_terms))
 
@@ -288,9 +281,7 @@ def _psi_form_excess(x: int, q: int, n_lo: int, N: int, count: int) -> tuple[int
     return (x - x % q) - N * q - count * q, q
 
 
-def sum_dual(
-    kind: Kind, x: int, N: int, *, chunk: int = _CHUNK, max_terms: int = DEFAULT_MAX_TERMS
-) -> SplitSum:
+def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> SplitSum:
     """S_f(x) as s1 (n <= N, direct) plus s2 (tail over quotient values).
 
     The tail count for quotient d is computed both by interval arithmetic
@@ -309,7 +300,7 @@ def sum_dual(
         raise BudgetExceededError(f"up to {most_blocks} blocks at x={x} exceed budget {max_terms}")
     if N > max_terms:
         raise BudgetExceededError(f"direct part over {N} terms exceeds budget {max_terms}")
-    s1 = _reduce_weighted(kind, _quotient_runs(x, N, chunk))
+    s1 = _reduce_weighted(kind, _quotient_runs(x, N))
     tail_pairs: list[tuple[int, int]] = []
     # largest |num|/den so far, compared by cross-multiplication
     worst_num, worst_den = 0, 1

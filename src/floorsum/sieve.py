@@ -14,8 +14,14 @@ p**a lying in the window; what stays unmarked is prime. Mobius and tau_k
 multiply the local factor f(p**a) into each multiple and keep the product
 of the walked prime powers, so that n over that product is 1 or one prime
 above sqrt(hi - 1). Memory is O(hi - lo + sqrt(hi)) for every kind, the
-second term for the base primes. point_value goes through factorization
-and the stars-and-bars formula tau_k(p**a) = binomial(a + k - 1, k - 1).
+second term for the base primes.
+
+The walk runs over windows of at most _WINDOW entries, and windows(lo, hi)
+is the one place that cuts a range into them: sieve_table, the partial
+sums of main_constant and the floor-quotient sums all stream through it,
+so one constant sets the working set of every pass. point_value goes
+through factorization and the stars-and-bars formula
+tau_k(p**a) = binomial(a + k - 1, k - 1).
 """
 
 from __future__ import annotations
@@ -30,8 +36,12 @@ from .errors import BudgetExceededError, DomainError
 from .primes import factor_pairs, prime_power_base, primes_upto
 
 DEFAULT_MAX_ENTRIES = 1 << 27
-_SEGMENT = 1 << 22
-_MARK_BLOCK = 1 << 20
+# Every streaming pass (sieve_table, main_constant's partial sums, the sum
+# routes) walks windows of at most _WINDOW entries. On a 2-core VM, 2**20
+# ran as fast as 2**22 and held less: main_constant(tau(2), 5e6) peaked at
+# 71 MB instead of 158 MB, sum_direct(LAMBDA, 1e7) at 46 MB instead of
+# 126 MB, and sum_blocked at x = 1e12 at 104 MB instead of 260 MB.
+_WINDOW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,15 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, factor_pairs(n))
 
 
+def windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Consecutive [s, e) of at most _WINDOW entries that tile [lo, hi).
+
+    _WINDOW is read at call time, so setting it reaches every pass."""
+    size = _WINDOW
+    for s in range(lo, hi, size):
+        yield s, min(hi, s + size)
+
+
 def _prime_power_walk(lo: int, hi: int, primes: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """(p, a, p**a, start) for every p in primes and a >= 1 such that p**a
     has a multiple in [lo, hi); the multiples sit at offsets start,
@@ -127,24 +146,21 @@ def prime_powers(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
     """(n, p) as two int64 arrays, one entry for every prime power
     n = p**a in [lo, hi); primes must reach sqrt(hi - 1).
 
-    The powers of the given primes come first, block by block in walk
-    order, then the remaining primes of the window in increasing order.
+    The powers of the given primes come first, in walk order, then the
+    remaining primes of the window in increasing order. Callers hand it
+    one window at a time (see windows).
     """
     # stays True for n > 1 with no factor in primes: a prime above them
     unmarked = np.ones(hi - lo, dtype=bool)
     if lo == 1:
         unmarked[0] = False  # 1 is not a prime power
     small_n, small_p = [], []
-    # blocks keep the strided writes in cache: at 5e7 terms of main_constant
-    # the marking took 0.36 s in 4M-entry windows, 0.22 s in 1M blocks
-    for b in range(lo, hi, _MARK_BLOCK):
-        block = unmarked[b - lo : b - lo + _MARK_BLOCK]
-        for p, a, pa, start in _prime_power_walk(b, min(hi, b + _MARK_BLOCK), primes):
-            if a == 1:
-                block[start::p] = False
-            if pa >= b:
-                small_n.append(pa)
-                small_p.append(p)
+    for p, a, pa, start in _prime_power_walk(lo, hi, primes):
+        if a == 1:
+            unmarked[start::p] = False
+        if pa >= lo:
+            small_n.append(pa)
+            small_p.append(p)
     big = np.flatnonzero(unmarked) + lo
     return (
         np.concatenate((np.array(small_n, dtype=np.int64), big)),
@@ -188,16 +204,15 @@ def sieve_table(
     hi: int,
     *,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    segment_size: int = _SEGMENT,
 ) -> ArithmeticTable:
     """Sieve an ArithmeticTable for n in [lo, hi).
 
-    Every kind runs the same prime-power walk segment by segment, so the
-    output is identical for any segmentation. The memory budget is
-    checked, before anything is allocated, against the larger of the
-    table's hi - lo entries and the isqrt(hi - 1) entries of the base-prime
-    sieve. The base kind scatters the sparse prime powers of each segment
-    into b(n).
+    Every kind runs the same prime-power walk window by window (see
+    windows), so the output is identical for any window size. The memory
+    budget is checked, before anything is allocated, against the larger of
+    the table's hi - lo entries and the isqrt(hi - 1) entries of the
+    base-prime sieve. The base kind scatters the sparse prime powers of
+    each window into b(n).
     """
     if not 1 <= lo < hi:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
@@ -209,8 +224,7 @@ def sieve_table(
         )
     primes = primes_upto(math.isqrt(hi - 1))
     parts = []
-    for s in range(lo, hi, segment_size):
-        e = min(hi, s + segment_size)
+    for s, e in windows(lo, hi):
         if kind.name == "lambda":
             ns, ps = prime_powers(s, e, primes)
             part = np.ones(e - s, dtype=np.int64)

@@ -2,12 +2,18 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floorsum
 from floorsum import decompose, error_series, main_constant, tau
 from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
@@ -197,6 +203,8 @@ def test_sums_beyond_factorization_range_are_domain_errors(capsys, method):
     ["errfit", "--f", "tau2", "--x-lo", "1000", "--x-hi", "8000", "--terms", "1000",
      "--max-terms", "1"],
     ["constant", "--kind", "lambda", "--terms", "100000", "--max-terms", "10"],
+    ["vaughan-check", "--D", "200000", "--max-terms", "10"],
+    ["vaaler-check", "--H", "200", "--points", "5000", "--max-terms", "10"],
 ])
 def test_constant_terms_respect_max_terms(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -381,3 +389,18 @@ def test_vaaler_csv_rows_on_a_two_point_grid(capsys):
     rows = out.splitlines()
     assert rows[0] == "x,psi,psi_star,delta,slack"
     assert len(rows) == 3 and rows[1].startswith("0.0,") and rows[2].startswith("0.25,")
+
+
+def test_closed_pipe_ends_quietly():
+    # like `floorsum sieve ... | head -1`: the reader closes the pipe while
+    # the rest of the 200000 rows are still being written
+    env = {**os.environ, "PYTHONPATH": str(Path(floorsum.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "floorsum.cli", "sieve", "--kind", "tau2", "--lo", "1",
+         "--hi", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,value\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode in (0, -signal.SIGPIPE)

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from floorsum import constants
+from floorsum import sieve
 from floorsum.constants import main_constant
 from floorsum.errors import DomainError
 from floorsum.sieve import LAMBDA, MU, point_value, tau
@@ -78,7 +78,7 @@ def test_window_size_does_not_change_brackets(monkeypatch):
     # round differently from one window's, so tau agrees to a few ulp
     # (a gap or overlap of one term would move it by more than 1e-8)
     single = {k: main_constant(tau(k), 10**4) for k in (2, 3, 4)}
-    monkeypatch.setattr(constants, "_SEGMENT", 997)
+    monkeypatch.setattr(sieve, "_WINDOW", 997)
     for k, one in single.items():
         many = main_constant(tau(k), 10**4)
         assert many.lo == pytest.approx(one.lo, rel=1e-15, abs=0)

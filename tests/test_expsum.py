@@ -74,14 +74,6 @@ def test_coefficient_arrays_bounded_by_one():
         assert r.modulus <= r.trivial_bound + 1e-9
 
 
-def test_chunking_does_not_change_the_value():
-    s = ExpSumScenario(shape="monomial", x=98765.0, h=3, n_lo=4096, coeffs="random", seed=7)
-    base = compute_expsum(s).value
-    for chunk in (17, 256, 1 << 12):
-        alt = compute_expsum(s, chunk=chunk).value
-        assert abs(alt - base) <= 1e-9 * max(1.0, abs(base))
-
-
 def test_bilinear_matches_brute_loop():
     from floorsum.sieve import MU
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from floorsum import floor_sums
+from floorsum import constants, floor_sums, sieve
 from floorsum.constants import ConstantBracket, main_constant
 from floorsum.errors import BracketTooWideError, BudgetExceededError, DomainError
 from floorsum.floor_sums import (
@@ -103,12 +103,13 @@ def test_sum_direct_rejects_mu_and_bad_x():
         sum_direct(tau(2), 10**6, max_terms=10**5)
 
 
-def test_sum_direct_chunk_size_invariance():
+def test_sum_direct_chunk_size_invariance(monkeypatch):
     x = 12345
-    for kind in (LAMBDA, tau(2)):
-        baseline = sum_direct(kind, x)
-        for chunk in (1, 2, 3, 7, 100, 4096):
-            assert sum_direct(kind, x, chunk=chunk) == baseline
+    kinds = (LAMBDA, tau(2))
+    baseline = [sum_direct(kind, x) for kind in kinds]
+    for window in (1, 2, 3, 7, 100, 4096):
+        monkeypatch.setattr(sieve, "_WINDOW", window)
+        assert [sum_direct(kind, x) for kind in kinds] == baseline
 
 
 def rle_quotients(x, n_max):
@@ -124,12 +125,13 @@ def rle_quotients(x, n_max):
 
 @pytest.mark.parametrize("x, n_max", [(1, 1), (10, 10), (100, 7), (1000, 31), (1000, 1000),
                                       (12345, 12344), (99991, 5000), (10**6, 3000)])
-def test_quotient_runs_brute_force(x, n_max):
+def test_quotient_runs_brute_force(monkeypatch, x, n_max):
     expected = rle_quotients(x, n_max)
-    # chunk 1 puts a border inside every run longer than one; the others
+    # window 1 puts a border inside every run longer than one; the others
     # split some runs, e.g. q = 1 on (500, 1000] at x = 1000
-    for chunk in (1, 2, 3, 7, 64, n_max, n_max + 5):
-        assert _quotient_runs(x, n_max, chunk) == expected, (x, n_max, chunk)
+    for window in (1, 2, 3, 7, 64, n_max, n_max + 5):
+        monkeypatch.setattr(sieve, "_WINDOW", window)
+        assert _quotient_runs(x, n_max) == expected, (x, n_max, window)
 
 
 def test_sum_blocked_equals_direct_small():
@@ -188,8 +190,29 @@ def test_sum_blocked_window_size_invariance(monkeypatch):
     whole = [sum_blocked(kind, x) for kind in kinds]
     # 997-entry windows: about 176 of them, with borders inside the
     # large-quotient side and inside the single-n side
-    monkeypatch.setattr(floor_sums, "_WINDOW", 997)
+    monkeypatch.setattr(sieve, "_WINDOW", 997)
     assert [sum_blocked(kind, x) for kind in kinds] == whole
+
+
+@pytest.mark.parametrize("module, run, top", [
+    (floor_sums, lambda: sum_blocked(tau(2), 10**6), 32 * 10**3),
+    (constants, lambda: main_constant(tau(2), 10**4), 10**4),
+], ids=["sum_blocked", "main_constant"])
+def test_every_pass_sieves_in_windows_of_the_sieve(monkeypatch, module, run, top):
+    # one window size, set in sieve, bounds every table the sums and the
+    # constants ask for, and their tables tile [1, top] without gap or overlap
+    calls = []
+
+    def recorded(kind, lo, hi, **kw):
+        calls.append((lo, hi))
+        return sieve.sieve_table(kind, lo, hi, **kw)
+
+    monkeypatch.setattr(sieve, "_WINDOW", 997)
+    monkeypatch.setattr(module, "sieve_table", recorded)
+    run()
+    assert all(hi - lo <= 997 for lo, hi in calls), calls
+    assert [lo for lo, _ in calls] == [1] + [hi for _, hi in calls[:-1]]
+    assert calls[-1][1] == top + 1
 
 
 def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):

@@ -112,9 +112,11 @@ def test_segment_boundaries_do_not_matter(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_internal_segment_size_does_not_matter(kind):
-    a = sieve_table(kind, 1, 3000, segment_size=256)
-    b = sieve_table(kind, 1, 3000, segment_size=1 << 22)
+def test_internal_segment_size_does_not_matter(monkeypatch, kind):
+    monkeypatch.setattr(sieve, "_WINDOW", 256)
+    a = sieve_table(kind, 1, 3000)
+    monkeypatch.setattr(sieve, "_WINDOW", 1 << 22)
+    b = sieve_table(kind, 1, 3000)
     assert np.array_equal(a.values, b.values)
 
 
@@ -138,12 +140,14 @@ def test_every_small_window_matches_point_value(kind):
             assert np.array_equal(got, expected[lo:hi]), (kind.label, lo, hi)
 
 
-@pytest.mark.parametrize("block", [sieve._MARK_BLOCK, 97])
-def test_prime_powers_lists_each_prime_power_once(monkeypatch, block):
-    # main_constant sums this list directly, so a repeat would count twice
-    monkeypatch.setattr(sieve, "_MARK_BLOCK", block)
+@pytest.mark.parametrize("window", [sieve._WINDOW, 97])
+def test_prime_powers_lists_each_prime_power_once(monkeypatch, window):
+    # main_constant sums these lists window by window, so a repeat would count twice
+    monkeypatch.setattr(sieve, "_WINDOW", window)
     for lo, hi in [(1, 2000), (10**6, 10**6 + 3000), (10**12, 10**12 + 2000)]:
-        ns, ps = prime_powers(lo, hi, primes_upto(math.isqrt(hi - 1)))
+        primes = primes_upto(math.isqrt(hi - 1))
+        parts = [prime_powers(s, e, primes) for s, e in sieve.windows(lo, hi)]
+        ns, ps = (np.concatenate(column) for column in zip(*parts))
         bases = {n: point_value(LAMBDA, n) for n in range(lo, hi)}
         assert len(ns) == len(set(ns.tolist()))
         assert dict(zip(ns.tolist(), ps.tolist())) == {n: b for n, b in bases.items() if b > 1}
