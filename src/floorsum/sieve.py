@@ -7,14 +7,24 @@ logarithm only appears when a caller materializes Lambda(n) = log b(n).
 
 Two evaluation routes are kept deliberately independent so they can
 cross-check each other. Tables come from one segmented sieve (Bays and
-Hudson, BIT 1977): a walk over the prime powers p**a < hi with
-p <= sqrt(hi - 1) that visits the multiples of each p**a in [lo, hi) by
-a strided slice. The base kind marks the multiples of each p and takes the
-p**a lying in the window; what stays unmarked is prime. Mobius and tau_k
-multiply the local factor f(p**a) into each multiple and keep the product
-of the walked prime powers, so that n over that product is 1 or one prime
-above sqrt(hi - 1). Memory is O(hi - lo + sqrt(hi)) for every kind, the
-second term for the base primes.
+Hudson, BIT 1977) over the primes p <= sqrt(hi - 1), split per window of
+L entries at L // 64:
+- the strided half walks the prime powers p**a < hi of the primes up to
+  L // 64 and visits the multiples of each p**a in [lo, hi) by a strided
+  slice;
+- the bucketed half takes the larger primes, which have at most 64
+  multiples in the window, as a bucket sieve does (Oliveira e Silva,
+  Herzog and Pardi, Math. Comp. 2014): the offsets of all their multiples
+  come from one vectorised pass (starts = -lo mod p, np.repeat, arange),
+  and the exponent of p in each hit from vectorised division. The hits are
+  built in groups of at most _BUCKET_GROUP = 2**14, about 1.3 MB of index
+  arrays whatever the window size.
+The base kind marks the multiples of each p and takes the p**a lying in
+the window; what stays unmarked is prime. Mobius and tau_k multiply the
+local factor f(p**a) into each multiple and keep the product of the prime
+powers found, so that n over that product is 1 or one prime above
+sqrt(hi - 1). Memory is O(hi - lo + sqrt(hi)) for every kind, the second
+term for the base primes.
 
 The walk runs over windows of at most _WINDOW entries, and windows(lo, hi)
 is the one place that cuts a range into them: sieve_table, the partial
@@ -26,6 +36,7 @@ tau_k(p**a) = binomial(a + k - 1, k - 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,6 +53,16 @@ DEFAULT_MAX_ENTRIES = 1 << 27
 # 71 MB instead of 158 MB, sum_direct(LAMBDA, 1e7) at 46 MB instead of
 # 126 MB, and sum_blocked at x = 1e12 at 104 MB instead of 260 MB.
 _WINDOW = 1 << 20
+# A window of L entries walks p <= L // _BUCKET_SPLIT by strided slices and
+# buckets the larger primes, which have at most _BUCKET_SPLIT multiples in it.
+# A few index entries per multiple cost less than ~2 us of numpy call per
+# slice, but primes with many multiples run faster strided: on a 2-core VM
+# main_constant(LAMBDA, 5e7) took 0.36 s with this cut and 0.67 s with a cut
+# at isqrt(L), where the primes up to 7071 have over 148 multiples a window.
+_BUCKET_SPLIT = 64
+# The bucketed hits of a window are built in groups of at most _BUCKET_GROUP
+# hits, about 1.3 MB of index arrays, whatever the window size.
+_BUCKET_GROUP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -142,30 +163,84 @@ def _prime_power_walk(lo: int, hi: int, primes: np.ndarray) -> Iterator[tuple[in
             a += 1
 
 
+def _split_primes(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(strided, bucketed): primes up to length // _BUCKET_SPLIT, which the
+    strided walk visits, and the primes above, which have at most
+    _BUCKET_SPLIT multiples in a window of length entries."""
+    cut = int(primes.searchsorted(length // _BUCKET_SPLIT, side="right"))
+    return primes[:cut], primes[cut:]
+
+
+def _bucket_hits(lo: int, hi: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(offsets, p, e): every multiple n = lo + offset in [lo, hi) of a prime
+    p in primes, with e the exponent of p in n, as three int64 arrays.
+
+    The hits run p ascending and, for one p, n ascending. They come in groups
+    of whole primes with at most _BUCKET_GROUP hits, so the memory of a group
+    stays bounded whatever the window; this needs every prime to have at most
+    _BUCKET_GROUP hits, and the bucketed primes of _split_primes have at
+    most _BUCKET_SPLIT.
+    """
+    if not len(primes):
+        return
+    starts = -lo % primes
+    counts = (hi - lo - 1 - starts) // primes + 1
+    ends = counts.cumsum()
+    # hit h, counted over the whole window, of a prime p sits at offset
+    # starts + (h - the index of p's first hit) * p
+    bases = starts - (ends - counts) * primes
+    i, first = 0, 0
+    while first < ends[-1]:
+        j = int(ends.searchsorted(first + _BUCKET_GROUP, side="right"))
+        last = int(ends[j - 1])
+        ps = primes[i:j].repeat(counts[i:j])
+        offsets = bases[i:j].repeat(counts[i:j]) + np.arange(first, last) * ps
+        n = offsets + lo
+        e = np.ones(len(ps), dtype=np.int64)
+        # few hits have p**2 | n; only those are divided further
+        (sel,) = (n % (ps * ps) == 0).nonzero()
+        p_sel = ps[sel]
+        q = n[sel] // p_sel
+        while len(sel):
+            e[sel] += 1
+            q //= p_sel
+            keep = q % p_sel == 0
+            sel, p_sel, q = sel[keep], p_sel[keep], q[keep]
+        yield offsets, ps, e
+        i, first = j, last
+
+
 def prime_powers(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, p) as two int64 arrays, one entry for every prime power
     n = p**a in [lo, hi); primes must reach sqrt(hi - 1).
 
-    The powers of the given primes come first, in walk order, then the
-    remaining primes of the window in increasing order. Callers hand it
-    one window at a time (see windows).
+    The powers of the given primes come first, ordered by p and then by a,
+    then the remaining primes of the window in increasing order. The
+    strided walk lists the powers of the primes up to (hi - lo) // 64, and
+    the powers among the bucketed hits of the larger primes follow them.
+    Callers hand it one window at a time (see windows).
     """
     # stays True for n > 1 with no factor in primes: a prime above them
     unmarked = np.ones(hi - lo, dtype=bool)
     if lo == 1:
         unmarked[0] = False  # 1 is not a prime power
+    strided, bucketed = _split_primes(primes, hi - lo)
     small_n, small_p = [], []
-    for p, a, pa, start in _prime_power_walk(lo, hi, primes):
+    for p, a, pa, start in _prime_power_walk(lo, hi, strided):
         if a == 1:
             unmarked[start::p] = False
         if pa >= lo:
             small_n.append(pa)
             small_p.append(p)
+    ns, ps = [np.array(small_n, dtype=np.int64)], [np.array(small_p, dtype=np.int64)]
+    for offsets, p, e in _bucket_hits(lo, hi, bucketed):
+        unmarked[offsets] = False
+        n = offsets + lo
+        power = p**e == n
+        ns.append(n[power])
+        ps.append(p[power])
     big = np.flatnonzero(unmarked) + lo
-    return (
-        np.concatenate((np.array(small_n, dtype=np.int64), big)),
-        np.concatenate((np.array(small_p, dtype=np.int64), big)),
-    )
+    return np.concatenate(ns + [big]), np.concatenate(ps + [big])
 
 
 def _local_factor(kind: Kind, a: int) -> int:
@@ -175,17 +250,21 @@ def _local_factor(kind: Kind, a: int) -> int:
     return math.comb(a + kind.k - 1, kind.k - 1)
 
 
-def _multiplicative_segment(kind: Kind, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """mu or tau_k for n in [lo, hi); primes must reach sqrt(hi - 1).
+def _multiplicative_segment(kind: Kind, lo: int, hi: int, primes: np.ndarray, vals: np.ndarray) -> None:
+    """Write mu or tau_k for n in [lo, hi) into vals, an int64 array of
+    hi - lo entries; primes must reach sqrt(hi - 1).
 
-    smooth[n] collects the walked prime powers dividing n, and each p**a
-    swaps the local factor f(p**(a-1)) in vals for f(p**a). Whatever n
-    has left over is one prime above sqrt(hi - 1), with local factor f(p).
+    smooth[n] collects the prime powers of the given primes dividing n. In
+    the strided half each p**a swaps the local factor f(p**(a-1)) in vals
+    for f(p**a); in the bucketed half each hit n of p multiplies in f(p**e)
+    and p**e at once, e being the exponent of p in n. Whatever n has left
+    over is one prime above sqrt(hi - 1), with local factor f(p).
     """
     length = hi - lo
     smooth = np.ones(length, dtype=np.int64)
-    vals = np.ones(length, dtype=np.int64)
-    for p, a, pa, start in _prime_power_walk(lo, hi, primes):
+    vals.fill(1)
+    strided, bucketed = _split_primes(primes, length)
+    for p, a, pa, start in _prime_power_walk(lo, hi, strided):
         step = vals[start::pa]
         smooth[start::pa] *= p
         old = _local_factor(kind, a - 1)
@@ -194,8 +273,60 @@ def _multiplicative_segment(kind: Kind, lo: int, hi: int, primes: np.ndarray) ->
         if old != 1:
             step //= old
         step *= _local_factor(kind, a)
-    vals[np.arange(lo, hi, dtype=np.int64) != smooth] *= _local_factor(kind, 1)
-    return vals
+    for offsets, p, e in _bucket_hits(lo, hi, bucketed):
+        factors = [_local_factor(kind, a) for a in range(int(e.max()) + 1)]
+        np.multiply.at(vals, offsets, np.array(factors, dtype=np.int64)[e])
+        np.multiply.at(smooth, offsets, p**e)
+    # n is built 2**16 entries at a time, so that it never adds a second
+    # window of memory to vals and smooth at the peak
+    block = 1 << 16
+    for s in range(0, length, block):
+        n = np.arange(lo + s, lo + min(length, s + block), dtype=np.int64)
+        out = vals[s : s + block]
+        np.multiply(out, _local_factor(kind, 1), out=out, where=n != smooth[s : s + block])
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_overflow_start(k: int) -> int:
+    """The smallest n with tau_k(n) > 2**63 - 1, or 2**63 when no smaller n
+    has one; a tau_k table fits int64 exactly when hi does not pass it.
+
+    The bound is exact. Moving an exponent to a smaller prime keeps tau_k(n)
+    and lowers n, so the smallest such n has non-increasing exponents on
+    consecutive primes, and a depth-first search over those finds it. A
+    branch stops once n reaches the best n found so far, and where even
+    tau_k(p**e) <= k**e on every prime factor still to come cannot carry
+    tau_k past 2**63 - 1.
+    """
+    # the product of these 16 primes passes 2**63, so no n < best uses more
+    small = primes_upto(53).tolist()
+    best = 1 << 63
+
+    def search(i: int, n: int, t: int, cap: int) -> None:
+        # n has exponents <= cap on small[:i]; t = tau_k(n)
+        nonlocal best
+        p = small[i]
+        room, m = 0, n * p
+        while m < best:
+            room, m = room + 1, m * p
+        if t * k**room <= _INT64_MAX:
+            return
+        m = n
+        for e in range(1, cap + 1):
+            m *= p
+            if m >= best:
+                return
+            t_e = t * math.comb(e + k - 1, k - 1)
+            if t_e > _INT64_MAX:
+                best = m
+                return
+            search(i + 1, m, t_e, e)
+
+    search(0, 1, 1, 63)
+    return best
 
 
 def sieve_table(
@@ -211,11 +342,19 @@ def sieve_table(
     windows), so the output is identical for any window size. The memory
     budget is checked, before anything is allocated, against the larger of
     the table's hi - lo entries and the isqrt(hi - 1) entries of the
-    base-prime sieve. The base kind scatters the sparse prime powers of
-    each window into b(n).
+    base-prime sieve. A tau_k table is refused with DomainError, also
+    before anything is allocated, when some n < hi has tau_k(n) > 2**63 - 1
+    (see _tau_overflow_start); for tau_2 to tau_8 no n < 2**63 has. The
+    base kind scatters the sparse prime powers of each window into b(n),
+    and every window is written into one preallocated array.
     """
     if not 1 <= lo < hi:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if kind.name == "tau" and hi > (start := _tau_overflow_start(kind.k)):
+        raise DomainError(
+            f"{kind.label} table over [{lo}, {hi}) would not fit int64: "
+            f"{kind.label} tables must end at hi <= {start}"
+        )
     entries = max(hi - lo, math.isqrt(hi - 1))
     if entries > max_entries:
         raise BudgetExceededError(
@@ -223,16 +362,16 @@ def sieve_table(
             f"budget is {max_entries}"
         )
     primes = primes_upto(math.isqrt(hi - 1))
-    parts = []
+    values = np.empty(hi - lo, dtype=np.int64)
     for s, e in windows(lo, hi):
+        part = values[s - lo : e - lo]
         if kind.name == "lambda":
             ns, ps = prime_powers(s, e, primes)
-            part = np.ones(e - s, dtype=np.int64)
+            part.fill(1)
             part[ns - s] = ps
         else:
-            part = _multiplicative_segment(kind, s, e, primes)
-        parts.append(part)
-    return ArithmeticTable(kind, lo, hi, np.concatenate(parts))
+            _multiplicative_segment(kind, s, e, primes, part)
+    return ArithmeticTable(kind, lo, hi, values)
 
 
 def point_value(kind: Kind, n: int) -> int:

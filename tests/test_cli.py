@@ -211,6 +211,16 @@ def test_constant_terms_respect_max_terms(capsys, argv):
     assert code == EXIT_BUDGET and out == "" and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--kind", "tau20", "--lo", "557256278016", "--hi", "557256278017"],
+    ["sieve", "--kind", "tau60", "--lo", "16796160000", "--hi", "16796160001"],
+    ["constant", "--kind", "tau200", "--terms", "65536"],
+])
+def test_tau_tables_past_int64_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == "" and "int64" in err
+
+
 def test_json_round_trip_schema(capsys):
     _, out, _ = run(capsys, "balance", "--param", "r", "--form", "1/2 - r")
     payload = json.loads(out)

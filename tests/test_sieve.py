@@ -257,3 +257,142 @@ def test_cache_missing_and_mismatch(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FloorsumError):
         load_table(MU, 1, 10, tmp_path)
+
+
+def _prime_power_order(lo, hi):
+    """prime_powers' documented order, built by brute force: p**a in [lo, hi)
+    for the primes up to isqrt(hi - 1), by p and then a, then the primes of
+    the window above them in increasing order."""
+    primes = primes_upto(math.isqrt(hi - 1)).tolist()
+    walk = []
+    for p in primes:
+        pa = p
+        while pa < hi:
+            if pa >= lo:
+                walk.append((pa, p))
+            pa *= p
+    top = primes[-1] if primes else 1
+    rest = [n for n in range(max(lo, top + 1), hi) if point_value(LAMBDA, n) == n]
+    return [n for n, _ in walk] + rest, [p for _, p in walk] + rest
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 3000),                                 # primes 47 and 53 above the cut 46
+    (1000003**2 - 500, 1000003**2 + 500),      # cut 15, p**2 of the largest base prime
+    (2**40 - 25, 2**40 + 25),                  # 50 entries: every prime above the cut
+])
+def test_prime_powers_follow_the_documented_order(lo, hi):
+    ns, ps = prime_powers(lo, hi, primes_upto(math.isqrt(hi - 1)))
+    expected_n, expected_p = _prime_power_order(lo, hi)
+    assert ns.tolist() == expected_n
+    assert ps.tolist() == expected_p
+
+
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("half", [50, 500])
+def test_windows_around_a_power_of_a_bucketed_prime(power, half):
+    p = 1009
+    lo, hi = p**power - half, p**power + half
+    assert p > (hi - lo) // 64  # fewer than 64 multiples: bucketed
+    for kind in WALK_KINDS:
+        values = sieve_table(kind, lo, hi).values.tolist()
+        assert values == [point_value(kind, n) for n in range(lo, hi)], kind.label
+    ns, ps = prime_powers(lo, hi, primes_upto(math.isqrt(hi - 1)))
+    assert dict(zip(ns.tolist(), ps.tolist()))[p**power] == p
+
+
+def test_window_shorter_than_64_entries_buckets_every_prime():
+    # 2**40 has exponent 40 at the bucketed prime 2
+    lo, hi = 2**40 - 25, 2**40 + 25
+    strided, bucketed = sieve._split_primes(primes_upto(math.isqrt(hi - 1)), hi - lo)
+    assert len(strided) == 0 and bucketed[0] == 2
+    for kind in WALK_KINDS:
+        values = sieve_table(kind, lo, hi).values.tolist()
+        assert values == [point_value(kind, n) for n in range(lo, hi)], kind.label
+
+
+def test_window_with_no_prime_above_the_cut():
+    lo, hi = 10**6, 10**6 + 70000  # isqrt(hi - 1) = 1034 <= 70000 // 64
+    primes = primes_upto(math.isqrt(hi - 1))
+    assert len(sieve._split_primes(primes, hi - lo)[1]) == 0
+    rng = random.Random(7)
+    sample = rng.sample(range(lo, hi), 300)
+    for kind in WALK_KINDS:
+        table = sieve_table(kind, lo, hi)
+        assert [table.value(n) for n in sample] == [point_value(kind, n) for n in sample]
+
+
+@pytest.mark.parametrize("window", [97, 1 << 20])
+def test_window_size_moves_primes_between_the_halves(monkeypatch, window):
+    # with 97-entry windows every prime is bucketed; with one window the
+    # primes up to 9 are walked strided
+    monkeypatch.setattr(sieve, "_WINDOW", window)
+    p = 1000003
+    lo, hi = p**2 - 300, p**2 + 300
+    for kind in WALK_KINDS:
+        values = sieve_table(kind, lo, hi).values.tolist()
+        assert values == [point_value(kind, n) for n in range(lo, hi)], kind.label
+
+
+@pytest.mark.parametrize("length", [10**5, 64 * 1566, 64 * 1567])
+def test_strided_walk_visits_only_primes_up_to_the_cut(monkeypatch, length):
+    # 1567 is prime: it has 64 multiples in 64 * 1567 entries and is walked,
+    # and 63 or 64 in 64 * 1566 entries, where it is bucketed
+    walked = []
+    walk = sieve._prime_power_walk
+
+    def counting(lo, hi, primes):
+        for item in walk(lo, hi, primes):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(sieve, "_prime_power_walk", counting)
+    lo = 10**12
+    hi = lo + length
+    sieve_table(MU, lo, hi)
+    small = primes_upto(length // 64).tolist()
+    powers = sum(1 for p in small for a in range(1, 64) if p**a < hi)
+    assert sorted(set(walked)) == small
+    assert len(walked) <= powers  # 78,498 primes and their powers without buckets
+
+
+def _tau_of_shapes_below(k, bound):
+    """tau_k(n) for every n < bound with non-increasing exponents on
+    consecutive primes, the shapes that hold the maximum of tau_k below bound."""
+    small = primes_upto(60).tolist()
+    out = []
+
+    def walk(i, n, t, cap):
+        out.append(t)
+        m = n
+        for e in range(1, cap + 1):
+            m *= small[i]
+            if m >= bound:
+                return
+            walk(i + 1, m, t * math.comb(e + k - 1, k - 1), e)
+
+    walk(0, 1, 1, 64)
+    return out
+
+
+def test_tau_tables_past_int64_are_refused_at_the_exact_boundary():
+    first = 2**15 * 3**6 * 5**3 * 7  # 20901888000, the first n with tau_20(n) >= 2**63
+    assert point_value(tau(20), first) > 2**63 - 1
+    assert max(_tau_of_shapes_below(20, first)) <= 2**63 - 1
+    # the largest accepted hi and the smallest refused one; 3 entries
+    # bucket every prime, so the np.multiply.at path runs up to the boundary
+    table = sieve_table(tau(20), first - 3, first)
+    assert table.values.tolist() == [point_value(tau(20), n) for n in range(first - 3, first)]
+    with pytest.raises(DomainError):
+        sieve_table(tau(20), first - 3, first + 1)
+    with pytest.raises(DomainError):
+        sieve_table(tau(20), 10**12, 10**12 + 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_low_order_tau_tables_are_never_refused_below_2_to_63(k):
+    # the domain check passes, so only the base-prime budget refuses these
+    with pytest.raises(BudgetExceededError):
+        sieve_table(tau(k), 2**63 - 2, 2**63 - 1)
+    with pytest.raises(DomainError):
+        sieve_table(tau(k), 2**63, 2**63 + 1)
