@@ -3,7 +3,7 @@
 File layout: five little-endian uint64 header words (kind code, order k,
 lo, hi, format version) followed by hi - lo little-endian int64 entries.
 The cache directory comes from the FLOORSUM_CACHE environment variable
-unless one is passed explicitly.
+unless one is passed explicitly; with neither, every call refuses.
 """
 
 from __future__ import annotations
@@ -23,24 +23,16 @@ _KIND_CODES = {"lambda": 0, "mu": 1, "tau": 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
-def cache_dir(directory: str | os.PathLike | None = None) -> Path | None:
-    if directory is not None:
-        return Path(directory)
-    env = os.environ.get("FLOORSUM_CACHE")
-    return Path(env) if env else None
-
-
-def table_path(kind: Kind, lo: int, hi: int, directory=None) -> Path | None:
-    root = cache_dir(directory)
-    if root is None:
-        return None
-    return root / f"{kind.label}_{lo}_{hi}.tbl"
+def table_path(kind: Kind, lo: int, hi: int, directory: str | os.PathLike | None = None) -> Path:
+    if directory is None:
+        directory = os.environ.get("FLOORSUM_CACHE")
+        if not directory:
+            raise FloorsumError("no cache directory: set FLOORSUM_CACHE or pass one")
+    return Path(directory) / f"{kind.label}_{lo}_{hi}.tbl"
 
 
 def save_table(table: ArithmeticTable, directory=None) -> Path:
     path = table_path(table.kind, table.lo, table.hi, directory)
-    if path is None:
-        raise FloorsumError("no cache directory: set FLOORSUM_CACHE or pass one")
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _HEADER.pack(
         _KIND_CODES[table.kind.name],
@@ -59,7 +51,7 @@ def save_table(table: ArithmeticTable, directory=None) -> Path:
 def load_table(kind: Kind, lo: int, hi: int, directory=None) -> ArithmeticTable | None:
     """Read a cached table back, or None when the file does not exist."""
     path = table_path(kind, lo, hi, directory)
-    if path is None or not path.exists():
+    if not path.exists():
         return None
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -76,11 +68,11 @@ def load_table(kind: Kind, lo: int, hi: int, directory=None) -> ArithmeticTable 
 
 
 def sieve_table_cached(kind: Kind, lo: int, hi: int, directory=None, **kwargs) -> ArithmeticTable:
-    """Load from the cache when possible, otherwise sieve and store."""
+    """Load from the cache when possible, otherwise sieve and store. With
+    no cache directory, load_table raises before anything is sieved."""
     table = load_table(kind, lo, hi, directory)
     if table is not None:
         return table
     table = sieve_table(kind, lo, hi, **kwargs)
-    if cache_dir(directory) is not None:
-        save_table(table, directory)
+    save_table(table, directory)
     return table

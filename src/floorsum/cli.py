@@ -10,6 +10,11 @@ columns are declared once, next to each subparser, and give both the
 output. A CSV cell is empty for None, a float's repr, or two cells for a
 complex (re, im) and a Fraction (num, den). Exit codes: 0 success, 2
 usage error, 3 domain error, 4 budget exceeded.
+
+Three flags are shared, each declared only by the subcommands that read
+it: --max-terms by floorsum, constant, errfit, vaaler-check,
+vaughan-check and expsum; --seed by vaughan-check and expsum; --cache-dir
+by sieve. A flag that a subcommand does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from . import balance, cache, constants, expsum, floor_sums, vaaler, vaughan
 from . import exponent_pairs as ep
 from .errors import BudgetExceededError, DomainError, FloorsumError
-from .sieve import DEFAULT_MAX_ENTRIES, LAMBDA, MU, Kind, sieve_table, tau
+from .sieve import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_TERMS, LAMBDA, MU, Kind, sieve_table, tau
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,27 +128,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="floorsum",
         description="Floor-quotient sums and the verification toolkit around them.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-terms", type=int, default=10**9, help="term budget for big sums")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; sums are identical for every value")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    common.add_argument("--cache-dir", default=None,
-                        help="table cache directory (else FLOORSUM_CACHE)")
+    # the flags that several subcommands share, each declared only where it is read
+    shared = {
+        "--max-terms": dict(type=int, default=DEFAULT_MAX_TERMS, help="term budget for big sums"),
+        "--seed": dict(type=int, default=0, help="seed for randomized subcommands"),
+        "--cache-dir": dict(default=None, help="table cache directory (else FLOORSUM_CACHE)"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, run, help, fmt, columns, note=""):
+    def add_parser(name, run, help, fmt, columns, note="", reads=()):
         """columns: the CSV header, None for a bare value, or {condition:
-        header} when an option changes the rows."""
+        header} when an option changes the rows; reads: the shared flags."""
         headers = columns if isinstance(columns, dict) else {"": columns}
         listed = " or, ".join(f"{when}, {h}" if when else h for when, h in headers.items() if h)
         epilog = " ".join(filter(None, ("csv columns:", listed, note)))
-        p = sub.add_parser(name, help=help, parents=[common], epilog=epilog)
+        p = sub.add_parser(name, help=help, epilog=epilog)
+        for flag in reads:
+            p.add_argument(flag, **shared[flag])
         p.set_defaults(run=run, columns=headers, format=fmt)
         return p
 
     p = add_parser("sieve", _cmd_sieve, "tabulate lambda base / mu / tau_k on [lo, hi)", "csv",
-                   "n,value", "(value is the prime base for lambda)")
+                   "n,value", "(value is the prime base for lambda)", reads=("--cache-dir",))
     p.add_argument("--kind", required=True, help="lambda, mu, or tauK (e.g. tau2)")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
@@ -152,20 +158,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="memory budget: largest table footprint in entries")
 
     p = add_parser("floorsum", _cmd_floorsum, "S_f(x) by direct, blocked, or dual evaluation",
-                   "csv", None, "the value alone (s1/s2 detail in json format)")
+                   "csv", None, "the value alone (s1/s2 detail in json format)",
+                   reads=("--max-terms",))
     p.add_argument("--f", required=True, help="lambda or tauK")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--method", choices=("direct", "blocked", "dual"), default="blocked")
     p.add_argument("--N", type=int, default=None, help="split point for --method dual")
 
     p = add_parser("constant", _cmd_constant, "certified bracket for sum f(n)/(n(n+1))", "json",
-                   "kind,k,terms,lo,hi")
+                   "kind,k,terms,lo,hi", reads=("--max-terms",))
     p.add_argument("--kind", required=True, help="lambda or tauK")
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--order", choices=("ascending", "blockwise"), default="ascending")
 
     p = add_parser("errfit", _cmd_errfit, "error series E(x) = S_f(x) - C x and its log-log fit",
-                   "csv", "x,S,E,C_lo,C_hi", "plus one trailing json fit line")
+                   "csv", "x,S,E,C_lo,C_hi", "plus one trailing json fit line",
+                   reads=("--max-terms",))
     p.add_argument("--f", required=True, help="lambda or tauK")
     p.add_argument("--x-lo", type=int, default=10**4)
     p.add_argument("--x-hi", type=int, default=10**6)
@@ -175,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("vaaler-check", _cmd_vaaler_check,
                    "sawtooth approximation inequality over a grid", "json",
-                   "x,psi,psi_star,delta,slack")
+                   "x,psi,psi_star,delta,slack", reads=("--max-terms",))
     p.add_argument("--H", type=int, required=True)
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--x-lo", type=_finite, default=-2.0)
@@ -183,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("vaughan-check", _cmd_vaughan_check,
                    "type I/II decomposition identity at one D", "json",
-                   "D,D1,U,T1_re,T1_im,T2_re,T2_im,T3_re,T3_im,direct_re,direct_im,abs_err,rel_err")
+                   "D,D1,U,T1_re,T1_im,T2_re,T2_im,T3_re,T3_im,direct_re,direct_im,abs_err,rel_err",
+                   reads=("--max-terms", "--seed"))
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--D1", type=int, default=None)
     p.add_argument("--g", choices=("unit", "random", "phase"), default="unit")
@@ -207,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("expsum", _cmd_expsum,
                    "evaluate an exponential sum, optionally against a bound", "json",
                    {"": "scenario,shape,ranges,modulus,trivial",
-                    "with --bound": "scenario,shape,ranges,measured,bound,ratio"})
+                    "with --bound": "scenario,shape,ranges,measured,bound,ratio"},
+                   reads=("--max-terms", "--seed"))
     p.add_argument("--shape", choices=expsum.SHAPES, required=True)
     p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--h", type=int, default=1)
@@ -427,7 +437,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if min(args.max_terms, args.threads, getattr(args, "max_entries", 1)) <= 0:
+        if min(getattr(args, "max_terms", 1), getattr(args, "max_entries", 1)) <= 0:
             raise DomainError("budgets must be positive")
         report = args.run(args)
     except FloorsumError as exc:

@@ -34,10 +34,9 @@ from .exponent_pairs import (
     eval_rs_bound,
     eval_vdc_bound,
 )
-from .sieve import LAMBDA, MU, sieve_table
-from .summation import compensated_complex_sum
+from .sieve import DEFAULT_MAX_TERMS, LAMBDA, MU, sieve_table
+from .summation import compensated_sum
 
-DEFAULT_MAX_TERMS = 10**9
 SHAPES = ("monomial", "bilinear", "triple")
 COEFF_SPECS = ("unit", "mu", "lambda", "random")
 RATIO_FLAG_THRESHOLD = 1e3
@@ -172,7 +171,7 @@ def compute_expsum(scenario: ExpSumScenario, *, max_terms: int = DEFAULT_MAX_TER
     n = np.arange(n_lo + 1, 2 * n_lo + 1, dtype=np.float64)
     if scenario.shape == "monomial":
         a_n = _coeff_array(scenario.coeffs, n_lo, scenario.seed)
-        value = compensated_complex_sum(a_n * _phase_values(x, scenario.h, n, delta))
+        value = compensated_sum(a_n * _phase_values(x, scenario.h, n, delta))
         trivial = float(np.sum(np.abs(a_n)))
         return ExpSumResult(scenario, value, abs(value), scenario.term_count, trivial)
 
@@ -193,7 +192,7 @@ def compute_expsum(scenario: ExpSumScenario, *, max_terms: int = DEFAULT_MAX_TER
         for mi, m in enumerate(range(m_lo + 1, 2 * m_lo + 1)):
             terms = a_hn[hi] * _phase_values(x, h, m * n, delta)
             partials.append(b_m[mi] * np.sum(terms))
-    value = compensated_complex_sum(np.array(partials, dtype=np.complex128))
+    value = compensated_sum(np.array(partials, dtype=np.complex128))
     trivial = float(np.sum(np.abs(b_m)) * np.sum(np.abs(a_hn)))
     return ExpSumResult(scenario, value, abs(value), scenario.term_count, trivial)
 

