@@ -124,8 +124,11 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: an option is only ever its full string, so adding
+    # or removing an option never changes what another argv means
     parser = argparse.ArgumentParser(
         prog="floorsum",
+        allow_abbrev=False,
         description="Floor-quotient sums and the verification toolkit around them.",
     )
     # the flags that several subcommands share, each declared only where it is read
@@ -142,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         headers = columns if isinstance(columns, dict) else {"": columns}
         listed = " or, ".join(f"{when}, {h}" if when else h for when, h in headers.items() if h)
         epilog = " ".join(filter(None, ("csv columns:", listed, note)))
-        p = sub.add_parser(name, help=help, epilog=epilog)
+        p = sub.add_parser(name, help=help, epilog=epilog, allow_abbrev=False)
         for flag in reads:
             p.add_argument(flag, **shared[flag])
         p.set_defaults(run=run, columns=headers, format=fmt)

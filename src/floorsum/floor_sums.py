@@ -6,8 +6,9 @@ Three routes are implemented and cross-checked:
   sieve.windows), and adds the point value at each quotient;
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
   whose counts are formed as numpy arrays; f(q) is read from sieve tables,
-  one per window of sieve.windows, for q <= 32 isqrt(x), and only the
-  larger quotients, about isqrt(x) / 32 of them, are factored;
+  one per window of sieve.windows, for q <= T = c isqrt(x), with c = 16
+  for Lambda and 6 for tau, and the larger quotients, about isqrt(x) / c
+  of them, are evaluated a window at a time by sieve.point_values;
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
@@ -24,8 +25,11 @@ N is clipped at N (its sawtooth form uses floor(x/d) = x/d - psi(x/d) -
 Divisor-kind sums are exact integers. Von Mangoldt sums add count *
 log(base) contributions, in all three routes through one exactly rounded
 math.fsum, so no result depends on the window size. Since
-sum_blocked takes f from the sieve and the other two from factorization,
-comparing them checks f as well as the grouping.
+sum_blocked takes f from the sieve and the batch evaluator and the other
+two from scalar factorization (sieve.point_value), comparing them checks f
+as well as the grouping. sum_blocked charges its T + x // (T + 1) entries
+and points to max_terms, so the default budget of 10**9 stops it near
+x = 3.9e15 for Lambda and 2.6e16 for tau.
 """
 
 from __future__ import annotations
@@ -42,10 +46,23 @@ import numpy as np
 from .constants import ConstantBracket
 from .errors import BracketTooWideError, BudgetExceededError, DomainError
 from .primes import MAX_FACTOR_INPUT
-from .sieve import DEFAULT_MAX_TERMS, Kind, point_value, sieve_table, windows
+from .sieve import DEFAULT_MAX_TERMS, Kind, point_value, point_values, sieve_table, windows
 
-# sum_blocked reads f from sieve tables up to _TABLE_FACTOR * isqrt(x)
-_TABLE_FACTOR = 32
+# sum_blocked reads f from sieve tables up to T = _TABLE_FACTOR[kind.name] * isqrt(x)
+# and evaluates the quotients above T by point_values. From a scan on a
+# 2-core VM, cold caches, median ms of sum_blocked with the factor c
+# interleaved (21 runs at x <= 1e10, 4 above):
+#   Lambda  c =  8    12    16    24      tau2  c =  4     6     8    11
+#   1.05e9    11.8  10.8  10.4  12.0            11.9  13.0  14.9  18.5
+#   2.1e9     16.5  15.1  14.7  21.2            18.1  20.2  23.8  30.7
+#   1e10      44.3  41.7  43.1  48.3            51.3  59.0  72.0  89.2
+#   1e11            116   117                    292   281   297
+#   1e12            332   332                   1330  1149  1092
+# Lambda is flat over 12-16, and 16 was also best at 1e13 (1.04 s against
+# 1.19 s at 12 and 1.28 s at 24). For tau the points cost more as x grows
+# (more cofactors need is_prime or factor_pairs), so the best c moves from
+# 4 near 1e9 to 8 at 1e12; 6 stays within 15% of the best throughout.
+_TABLE_FACTOR = {"lambda": 16, "tau": 6}
 
 
 class Block(NamedTuple):
@@ -232,21 +249,23 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
     """S_f(x) over the block decomposition: sum of f(q) * block count.
 
     Block counts are formed as arrays window by window (see
-    _table_windows). With r = isqrt(x), f(q) for q <= T = min(x, 32 r) is
-    read from one sieve_table per window of sieve.windows, streamed so
-    that memory is O(window); only the quotients x // n > T, about r / 32
-    of them, are factored by point_value. tau sums are exact integers; Lambda sums
-    collect every count * log(b) term and reduce them once with math.fsum,
-    which is exactly rounded, so the result does not depend on windowing
-    or order. threads changes nothing; it stays because acceptance
-    criterion 9 checks that the sum is identical for every value. The
-    work, T sieved entries plus x // (T + 1) factored quotients, is
-    charged to max_terms before any of it is done: 32031 at x = 1e6, so
-    the default budget of 10**9 stops sum_blocked above x ~ 9.75e14.
+    _table_windows). With r = isqrt(x) and c = _TABLE_FACTOR (16 for
+    Lambda, 6 for tau), f(q) for q <= T = min(x, c r) is read from one
+    sieve_table per window of sieve.windows; the quotients x // n > T,
+    about r / c of them, are evaluated by sieve.point_values, one window of
+    n at a time. Both passes stream, so memory is O(window). tau sums are
+    exact integers; Lambda sums collect every count * log(b) term and
+    reduce them once with math.fsum, which is exactly rounded, so the
+    result does not depend on windowing or order. threads changes nothing;
+    it stays because acceptance criterion 9 checks that the sum is
+    identical for every value. The work, T sieved entries plus x // (T + 1)
+    points, is charged to max_terms before any of it is done: 16062 for
+    Lambda and 6166 for tau at x = 1e6, so the default budget of 10**9
+    stops sum_blocked above x ~ 3.9e15 for Lambda and x ~ 2.6e16 for tau.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
-    table_top = min(x, _TABLE_FACTOR * math.isqrt(x))
+    table_top = min(x, _TABLE_FACTOR[kind.name] * math.isqrt(x))
     # x // n > table_top exactly for n <= x // (table_top + 1)
     point_count = x // (table_top + 1)
     if table_top + point_count > max_terms:
@@ -254,13 +273,16 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
             f"{table_top} table entries and {point_count} points at x={x} "
             f"exceed budget {max_terms}"
         )
-    points = [point_value(kind, x // n) for n in range(1, point_count + 1)]
+    points = (
+        point_values(kind, x // np.arange(lo, hi, dtype=np.int64)).tolist()
+        for lo, hi in windows(1, point_count + 1)
+    )
     tables = _table_windows(kind, x, table_top)
     if kind.name == "tau":
-        return sum(_table_dot(v, c) for v, c in tables) + sum(points)
+        return sum(_table_dot(v, c) for v, c in tables) + sum(map(sum, points))
 
     table_terms = chain.from_iterable(_lambda_terms(v, c) for v, c in tables)
-    point_terms = (math.log(b) for b in points if b > 1)
+    point_terms = (math.log(b) for b in chain.from_iterable(points) if b > 1)
     return math.fsum(chain(table_terms, point_terms))
 
 

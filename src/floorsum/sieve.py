@@ -32,6 +32,16 @@ sums of main_constant and the floor-quotient sums all stream through it,
 so one constant sets the working set of every pass. point_value goes
 through factorization and the stars-and-bars formula
 tau_k(p**a) = binomial(a + k - 1, k - 1).
+
+point_values evaluates the lambda and tau kinds on a whole array of
+arbitrary n <= 2**63 - 1 (the quotients of floor_sums.sum_blocked above its
+table). It trial-divides the array at once by the primes up to 1000 and
+splits what is left the way the P2 term of Lagarias, Miller and Odlyzko
+(Math. Comp. 1985) and of Deleglise and Rivat (Math. Comp. 1996) splits a
+number free of small primes: below 1009**2 it is prime, below 1009**3 it
+is a prime, p**2 or p*q; only the larger cofactors are tested by is_prime
+and, when composite, split by factor_pairs, one at a time. point_value
+stays the scalar route the batch is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .primes import factor_pairs, prime_power_base, primes_upto
+from .primes import _trial_primes, factor_pairs, introot, is_prime, prime_power_base, primes_upto
 
 DEFAULT_MAX_ENTRIES = 1 << 27
 # the term budget of floor_sums, expsum and the CLI, all of which import sieve
@@ -65,6 +75,8 @@ _BUCKET_SPLIT = 64
 # The bucketed hits of a window are built in groups of at most _BUCKET_GROUP
 # hits, about 1.3 MB of index arrays, whatever the window size.
 _BUCKET_GROUP = 1 << 14
+# point_values tests _TRIAL_GROUP products (4 MB) of entry and prime at a time
+_TRIAL_GROUP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -374,6 +386,134 @@ def sieve_table(
         else:
             _multiplicative_segment(kind, s, e, primes, part)
     return ArithmeticTable(kind, lo, hi, values)
+
+
+@functools.lru_cache(maxsize=1)
+def _odd_trial_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, p**-1 mod 2**64, (2**64 - 1) // p) for the odd primes up to 1000,
+    as arrays: an n >= 0 below 2**64 is a multiple of the odd p iff
+    n * p**-1 mod 2**64 <= (2**64 - 1) // p (Granlund and Montgomery,
+    PLDI 1994), one wrapping product where a remainder is a division."""
+    odd = _trial_primes()[1:]
+    return (
+        np.array(odd, dtype=np.int64),
+        np.array([pow(p, -1, 1 << 64) for p in odd], dtype=np.uint64),
+        np.array([((1 << 64) - 1) // p for p in odd], dtype=np.uint64),
+    )
+
+
+def _strip_small_primes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Divide every prime p <= min(1000, isqrt(max(m))) out of m, a
+    non-empty array of positive int64, in place. Returns (at, p, e), one
+    entry per such p dividing some m[at], with e the exponent of p in it.
+
+    What m keeps is 1, a prime, or a number with no prime factor below
+    1009; a kept entry of 10**6 or more is one of the last two. The
+    divisibility of _TRIAL_GROUP entries at a time by every odd prime comes
+    from one product of arrays, so a call costs a fixed number of numpy
+    calls however few entries it has.
+    """
+    # 2 from the lowest set bit, which frexp reads exactly
+    e2 = np.frexp((m & -m).astype(np.float64))[1] - 1
+    m >>= e2
+    (at,) = e2.nonzero()
+    ats, ps, es = [at], [np.full(len(at), 2, dtype=np.int64)], [e2[at]]
+    odd, inverse, limit = _odd_trial_primes()
+    cut = int(odd.searchsorted(math.isqrt(int(m.max())), side="right"))
+    odd, inverse, limit = odd[:cut], inverse[:cut, None], limit[:cut, None]
+    rows = max(1, _TRIAL_GROUP // max(1, cut))
+    for s in range(0, len(m), rows):
+        block = m[s : s + rows]
+        hit = np.flatnonzero(inverse * block.view(np.uint64) <= limit)
+        j, i = np.divmod(hit, len(block))
+        p = odd[j]
+        q = block[i] // p
+        e = np.ones(len(p), dtype=np.int64)
+        (sel,) = (q % p == 0).nonzero()
+        while len(sel):
+            e[sel] += 1
+            q[sel] //= p[sel]
+            sel = sel[q[sel] % p[sel] == 0]
+        np.floor_divide.at(block, i, p**e)
+        ats.append(i + s)
+        ps.append(p)
+        es.append(e)
+    return np.concatenate(ats), np.concatenate(ps), np.concatenate(es)
+
+
+def _large_prime_power_base(n: int) -> int:
+    """prime_power_base(n) for n > 1 with no prime factor below 1009: such
+    an n = p**a has p > 1000, so a <= 6 below 2**63."""
+    if is_prime(n):
+        return n
+    for a in range(2, 7):
+        r = introot(n, a)
+        if r**a == n and is_prime(r):
+            return r
+    return 1
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_local_factors(k: int) -> tuple[int, ...]:
+    """tau_k(p**a) = C(a + k - 1, k - 1) for a = 0 .. 63."""
+    return tuple(math.comb(a + k - 1, k - 1) for a in range(64))
+
+
+def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
+    """point_value(kind, n) for every n of ns, an int64 array of values in
+    [1, 2**63 - 1], for the lambda and tau kinds.
+
+    The whole array is trial-divided at once by the primes up to 1000.
+    lambda: an n with a small prime factor p is a prime power iff p is its
+    only one and nothing is left over; an n with none is a prime, or p**a
+    with p > 1000 and a <= 6, found by exact roots. tau_k multiplies the
+    local factors C(e + k - 1, k - 1) of the small primes by those of the
+    cofactor c, whose prime factors all exceed 1000: one prime when
+    c < 10**6 (as 1009**2 > 10**6) or when is_prime(c); otherwise, below
+    10**9 (as 1009**3 > 10**9), p**2 or p*q as an exact square test tells;
+    otherwise whatever factor_pairs(c) finds. Every n takes this one route,
+    and only the cofactors of at least 10**6 are handled one at a time.
+
+    tau values are int64, or Python ints in an object array when some n
+    reaches _tau_overflow_start(k).
+    """
+    if kind.name not in ("lambda", "tau"):
+        raise DomainError(f"point_values takes lambda or tau kinds, not {kind.label}")
+    m = np.array(ns, dtype=np.int64)
+    if not len(m):
+        return m
+    if int(m.min()) < 1:
+        raise DomainError("point_values needs every n >= 1")
+    n_max = int(m.max())
+    at, p, e = _strip_small_primes(m)
+    if kind.name == "lambda":
+        out = np.ones(len(m), dtype=np.int64)
+        small = np.bincount(at, minlength=len(m))
+        power = (small[at] == 1) & (m[at] == 1)
+        out[at[power]] = p[power]
+        (rest,) = ((small == 0) & (m > 1)).nonzero()
+        out[rest] = [_large_prime_power_base(n) for n in m[rest].tolist()]
+        return out
+    k = kind.k
+    dtype = np.int64 if n_max < _tau_overflow_start(k) else object
+    local = np.array(_tau_local_factors(k), dtype=dtype)
+    out = np.ones(len(m), dtype=dtype)
+    np.multiply.at(out, at, local[e])
+    out[(m > 1) & (m < 10**6)] *= local[1]
+    (rest,) = (m >= 10**6).nonzero()
+    factors = []
+    for c in m[rest].tolist():
+        if is_prime(c):
+            factors.append(local[1])
+        elif c < 10**9:
+            factors.append(local[2] if math.isqrt(c) ** 2 == c else local[1] ** 2)
+        else:
+            f = 1
+            for _, a in factor_pairs(c):
+                f *= local[a]
+            factors.append(f)
+    out[rest] *= np.array(factors, dtype=dtype)
+    return out
 
 
 def point_value(kind: Kind, n: int) -> int:

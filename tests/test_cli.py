@@ -329,6 +329,17 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert code == EXIT_USAGE and out == "" and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--kind", "mu", "--lo", "1", "--hi", "5", "--max", "5"],
+    ["constant", "--kind", "lambda", "--t", "100"],
+    ["floorsum", "--f", "tau2", "--x", "100", "--meth", "direct"],
+    ["--he"],
+])
+def test_abbreviated_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+
+
 # The byte contract: literal stdout of the exact-valued subcommands in
 # both formats, and which format each one writes by default.
 PINNED = [

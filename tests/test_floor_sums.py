@@ -22,7 +22,7 @@ from floorsum.floor_sums import (
     sum_direct,
     sum_dual,
 )
-from floorsum.sieve import LAMBDA, MU, point_value, tau
+from floorsum.sieve import LAMBDA, MU, point_value, point_values, tau
 
 
 def brute_sum(kind, x):
@@ -137,8 +137,9 @@ def test_quotient_runs_brute_force(monkeypatch, x, n_max):
 def test_sum_blocked_equals_direct_small():
     for x in range(1, 2001):
         assert sum_blocked(tau(2), x) == sum_direct(tau(2), x), x
-    # the table covers all of [1, x] for x <= 992 and x = 1024, where
-    # 32 isqrt(x) >= x; above 992 the largest quotients are factored
+    # the table covers all of [1, x] where 6 isqrt(x) >= x for tau (x <= 36)
+    # and 16 isqrt(x) >= x for Lambda (x <= 256); above, the largest
+    # quotients go through point_values
     for x in range(1, 1101):
         for kind in (tau(3), tau(4)):
             assert sum_blocked(kind, x) == sum_direct(kind, x), (kind.label, x)
@@ -195,7 +196,7 @@ def test_sum_blocked_window_size_invariance(monkeypatch):
 
 
 @pytest.mark.parametrize("module, run, top", [
-    (floor_sums, lambda: sum_blocked(tau(2), 10**6), 32 * 10**3),
+    (floor_sums, lambda: sum_blocked(tau(2), 10**6), 6 * 10**3),
     (constants, lambda: main_constant(tau(2), 10**4), 10**4),
 ], ids=["sum_blocked", "main_constant"])
 def test_every_pass_sieves_in_windows_of_the_sieve(monkeypatch, module, run, top):
@@ -218,16 +219,48 @@ def test_every_pass_sieves_in_windows_of_the_sieve(monkeypatch, module, run, top
 def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):
     x = 2_100_000_007
     r = math.isqrt(x)
-    calls = []
+    chunks = []
 
-    def counted(kind, n):
-        calls.append(n)
-        return point_value(kind, n)
+    def counted(kind, ns):
+        chunks.append(ns.tolist())
+        return point_values(kind, ns)
 
-    monkeypatch.setattr(floor_sums, "point_value", counted)
-    sum_blocked(tau(2), x)
-    assert 0 < len(calls) <= r // 32 + 1
-    assert min(calls) > 32 * r
+    monkeypatch.setattr(sieve, "_WINDOW", 997)
+    monkeypatch.setattr(floor_sums, "point_values", counted)
+    monkeypatch.setattr(floor_sums, "point_value", lambda *a: pytest.fail("scalar point"))
+    for kind, factor in ((LAMBDA, 16), (tau(2), 6)):
+        chunks.clear()
+        sum_blocked(kind, x)
+        # one call per window, x // n in order for n = 1 .. x // (factor r + 1)
+        assert all(0 < len(c) <= 997 for c in chunks)
+        quotients = [q for c in chunks for q in c]
+        assert quotients == [x // n for n in range(1, x // (factor * r + 1) + 1)]
+        assert 0 < len(quotients) <= r // factor + 1
+        assert min(quotients) > factor * r
+
+
+# S_f(x) from the cut at 32 isqrt(x), with every quotient above it factored
+# one at a time by point_value
+PINNED_SUMS = {
+    (1_050_000_000, "lambda"): 472336653.1047447,
+    (1_050_000_000, "tau2"): 1974827577,
+    (2_100_000_000, "lambda"): 944671937.4278734,
+    (2_100_000_000, "tau2"): 3949653253,
+    (10**10, "lambda"): 4498441383.456076,
+    (10**10, "tau2"): 18807766261,
+}
+
+
+@pytest.mark.parametrize("x, label", sorted(PINNED_SUMS))
+def test_sum_blocked_pinned_sums(x, label):
+    got = sum_blocked(LAMBDA if label == "lambda" else tau(2), x)
+    ref = PINNED_SUMS[x, label]
+    if label == "lambda":
+        # quotients that cross the cut have block count 1, so only the
+        # rounding of np.log against math.log on one term each can move
+        assert abs(got - ref) <= 2 * math.ulp(ref)
+    else:
+        assert got == ref
 
 
 def test_psi_values():
@@ -369,18 +402,25 @@ def test_block_sums_respect_term_budget():
         sum_dual(LAMBDA, x, 1, max_terms=10**6)
     with pytest.raises(BudgetExceededError):
         sum_dual(tau(2), 10**6, 10**5, max_terms=10**4)
-    # 32000 table entries plus 10**6 // 32001 = 31 factored points at x = 1e6:
-    # the charge itself is allowed
-    assert sum_blocked(tau(2), 10**6, max_terms=32031) == sum_direct(tau(2), 10**6)
-    with pytest.raises(BudgetExceededError):
-        sum_blocked(tau(2), 10**6, max_terms=32030)
-    # at x = 1e12 the table alone is 32e6 entries: refused before any work
+    # at x = 1e12 the tau table alone is 6e6 entries: refused before any work
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         sum_blocked(tau(2), 10**12, max_terms=2_000_001)
     assert time.perf_counter() - start < 0.1
     with pytest.raises(DomainError):
         sum_blocked(tau(2), 0)
+
+
+@pytest.mark.parametrize("kind, charge", [
+    # 16000 table entries plus 10**6 // 16001 = 62 points
+    (LAMBDA, 16062),
+    # 6000 table entries plus 10**6 // 6001 = 166 points
+    (tau(2), 6166),
+])
+def test_sum_blocked_charge_is_allowed_exactly(kind, charge):
+    assert sum_blocked(kind, 10**6, max_terms=charge) == sum_blocked(kind, 10**6)
+    with pytest.raises(BudgetExceededError):
+        sum_blocked(kind, 10**6, max_terms=charge - 1)
 
 
 def test_sum_dual_rejects_bad_split():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from floorsum import sieve
+from floorsum import primes, sieve
 from floorsum.cache import load_table, save_table, sieve_table_cached
 from floorsum.errors import BudgetExceededError, DomainError, FloorsumError
 from floorsum.sieve import (
@@ -15,11 +15,12 @@ from floorsum.sieve import (
     Kind,
     factorize,
     point_value,
+    point_values,
     prime_powers,
     sieve_table,
     tau,
 )
-from floorsum.primes import primes_upto
+from floorsum.primes import MAX_FACTOR_INPUT, primes_upto
 
 ALL_KINDS = [LAMBDA, MU, tau(2), tau(3)]
 WALK_KINDS = ALL_KINDS + [tau(4)]
@@ -191,6 +192,68 @@ def test_point_value_examples():
     assert point_value(MU, 30) == -1
     with pytest.raises(DomainError):
         point_value(MU, 0)
+
+
+def test_point_values_match_point_value_below_3e5():
+    # n outer, so factor_pairs' cache serves all three tau kinds of one n
+    top = 3 * 10**5
+    kinds = (LAMBDA, tau(2), tau(3), tau(4))
+    batch = [point_values(kind, np.arange(1, top, dtype=np.int64)).tolist() for kind in kinds]
+    for n in range(1, top):
+        for kind, values in zip(kinds, batch):
+            assert values[n - 1] == point_value(kind, n), (kind.label, n)
+
+
+# (n, factorization): each row reaches one branch of point_values
+BUILT_POINTS = [
+    (1, ()),
+    (2**62, ((2, 62),)),  # small prime only
+    (MAX_FACTOR_INPUT, ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))),
+    (1009, ((1009, 1),)),  # cofactor prime below 10**6
+    (6 * 1013, ((2, 1), (3, 1), (1013, 1))),
+    (1000003, ((1000003, 1),)),  # cofactor of 10**6 or more, prime
+    (2**63 - 25, ((2**63 - 25, 1),)),
+    (2**10 * 1000033, ((2, 10), (1000033, 1))),
+    (1009**2, ((1009, 2),)),  # p**2 below 10**9
+    (31607**2, ((31607, 2),)),
+    (1009 * 1013, ((1009, 1), (1013, 1))),  # p * q below 10**9
+    (6 * 1009 * 31607, ((2, 1), (3, 1), (1009, 1), (31607, 1))),
+    (31627**2, ((31627, 2),)),  # composite of 10**9 or more: factor_pairs
+    (1000003 * 1000033, ((1000003, 1), (1000033, 1))),
+    (5 * 31627 * 1000003, ((5, 1), (31627, 1), (1000003, 1))),
+] + [(1009**a, ((1009, a),)) for a in range(3, 7)] + [(1000003**a, ((1000003, a),)) for a in (2, 3)]
+
+
+def test_point_values_built_cases(monkeypatch):
+    assert all(math.prod(p**e for p, e in pairs) == n for n, pairs in BUILT_POINTS)
+    ns = np.array([n for n, _ in BUILT_POINTS], dtype=np.int64)
+    factored, rooted = [], []
+    monkeypatch.setattr(sieve, "factor_pairs", lambda c: factored.append(c) or primes.factor_pairs(c))
+    monkeypatch.setattr(sieve, "introot", lambda c, a: rooted.append(c) or primes.introot(c, a))
+    for k in (2, 3, 4):
+        expected = [math.prod(math.comb(e + k - 1, k - 1) for _, e in pairs) for _, pairs in BUILT_POINTS]
+        assert point_values(tau(k), ns).tolist() == expected, k
+    assert point_values(LAMBDA, ns).tolist() == [
+        pairs[0][0] if len(pairs) == 1 else 1 for _, pairs in BUILT_POINTS
+    ]
+    # only the composite cofactors of 10**9 or more are factored, and only
+    # the composites with no prime factor up to 1000 take roots
+    big = {92737 * 649657, 31627**2, 1000003 * 1000033, 31627 * 1000003, 1000003**2, 1000003**3}
+    big |= {1009**a for a in range(3, 7)}
+    assert set(factored) == big
+    assert set(rooted) == {n for n, pairs in BUILT_POINTS
+                           if pairs and min(pairs)[0] > 1000 and pairs != ((n, 1),)}
+
+
+def test_point_values_past_int64_and_bad_input():
+    first = 2**15 * 3**6 * 5**3 * 7  # the first n with tau_20(n) > 2**63 - 1
+    ns = np.array([first - 1, first, 2**62], dtype=np.int64)
+    assert point_values(tau(20), ns).tolist() == [point_value(tau(20), int(n)) for n in ns]
+    assert point_values(tau(2), np.array([], dtype=np.int64)).tolist() == []
+    with pytest.raises(DomainError):
+        point_values(MU, np.array([6]))
+    with pytest.raises(DomainError):
+        point_values(tau(2), np.array([5, 0]))
 
 
 def test_factorize_wrapper():

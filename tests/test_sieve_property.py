@@ -1,7 +1,8 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floorsum.sieve import LAMBDA, MU, point_value, sieve_table, tau
+from floorsum.sieve import LAMBDA, MU, point_value, point_values, sieve_table, tau
 
 
 # a 3000-entry window near 1e12 takes about 0.5 s of point_value calls on a
@@ -16,3 +17,13 @@ def test_window_sieve_matches_point_value(kind, lo, width):
     table = sieve_table(kind, lo, lo + width)
     for n in range(lo, lo + width):
         assert table.value(n) == point_value(kind, n), (kind.label, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([LAMBDA, tau(2), tau(3), tau(4)]),
+    ns=st.lists(st.integers(min_value=1, max_value=2**63 - 1), min_size=1, max_size=20),
+)
+def test_point_values_match_point_value(kind, ns):
+    got = point_values(kind, np.array(ns, dtype=np.int64)).tolist()
+    assert got == [point_value(kind, n) for n in ns], kind.label
