@@ -454,9 +454,9 @@ def _large_prime_power_base(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _tau_local_factors(k: int) -> tuple[int, ...]:
-    """tau_k(p**a) = C(a + k - 1, k - 1) for a = 0 .. 63."""
-    return tuple(math.comb(a + k - 1, k - 1) for a in range(64))
+def _local_factors(kind: Kind) -> tuple[int, ...]:
+    """_local_factor(kind, a) for a = 0 .. 63, every exponent below 2**63."""
+    return tuple(_local_factor(kind, a) for a in range(64))
 
 
 def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
@@ -494,9 +494,8 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
         (rest,) = ((small == 0) & (m > 1)).nonzero()
         out[rest] = [_large_prime_power_base(n) for n in m[rest].tolist()]
         return out
-    k = kind.k
-    dtype = np.int64 if n_max < _tau_overflow_start(k) else object
-    local = np.array(_tau_local_factors(k), dtype=dtype)
+    dtype = np.int64 if n_max < _tau_overflow_start(kind.k) else object
+    local = np.array(_local_factors(kind), dtype=dtype)
     out = np.ones(len(m), dtype=dtype)
     np.multiply.at(out, at, local[e])
     out[(m > 1) & (m < 10**6)] *= local[1]
