@@ -274,15 +274,15 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
             f"exceed budget {max_terms}"
         )
     points = (
-        point_values(kind, x // np.arange(lo, hi, dtype=np.int64)).tolist()
+        point_values(kind, x // np.arange(lo, hi, dtype=np.int64))
         for lo, hi in windows(1, point_count + 1)
     )
     tables = _table_windows(kind, x, table_top)
     if kind.name == "tau":
-        return sum(_table_dot(v, c) for v, c in tables) + sum(map(sum, points))
+        return sum(_table_dot(v, c) for v, c in tables) + sum(sum(v.tolist()) for v in points)
 
     table_terms = chain.from_iterable(_lambda_terms(v, c) for v, c in tables)
-    point_terms = (math.log(b) for b in chain.from_iterable(points) if b > 1)
+    point_terms = (math.log(b) for v in points for b in v[v > 1].tolist())
     return math.fsum(chain(table_terms, point_terms))
 
 

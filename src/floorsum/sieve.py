@@ -402,26 +402,28 @@ def _odd_trial_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _strip_small_primes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _strip_small_primes(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Divide every prime p <= min(1000, isqrt(max(m))) out of m, a
-    non-empty array of positive int64, in place. Returns (at, p, e), one
-    entry per such p dividing some m[at], with e the exponent of p in it.
+    non-empty array of positive int64, in place, yielding (at, p, e) in
+    groups: one entry per such p dividing some m[at], with e the exponent
+    of p in it.
 
-    What m keeps is 1, a prime, or a number with no prime factor below
-    1009; a kept entry of 10**6 or more is one of the last two. The
-    divisibility of _TRIAL_GROUP entries at a time by every odd prime comes
-    from one product of arrays, so a call costs a fixed number of numpy
-    calls however few entries it has.
+    Once the groups are exhausted, what m keeps is 1, a prime, or a number
+    with no prime factor below 1009; a kept entry of 10**6 or more is one
+    of the last two. The divisibility of _TRIAL_GROUP // (number of odd
+    primes) entries at a time by every odd prime comes from one product of
+    arrays, so a call costs a fixed number of numpy calls however few
+    entries it has, and the hits of one group take O(_TRIAL_GROUP) memory.
     """
     # 2 from the lowest set bit, which frexp reads exactly
     e2 = np.frexp((m & -m).astype(np.float64))[1] - 1
     m >>= e2
     (at,) = e2.nonzero()
-    ats, ps, es = [at], [np.full(len(at), 2, dtype=np.int64)], [e2[at]]
+    yield at, np.full(len(at), 2, dtype=np.int64), e2[at]
     odd, inverse, limit = _odd_trial_primes()
     cut = int(odd.searchsorted(math.isqrt(int(m.max())), side="right"))
     odd, inverse, limit = odd[:cut], inverse[:cut, None], limit[:cut, None]
-    rows = max(1, _TRIAL_GROUP // max(1, cut))
+    rows = _TRIAL_GROUP // max(1, cut)
     for s in range(0, len(m), rows):
         block = m[s : s + rows]
         hit = np.flatnonzero(inverse * block.view(np.uint64) <= limit)
@@ -435,10 +437,7 @@ def _strip_small_primes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             q[sel] //= p[sel]
             sel = sel[q[sel] % p[sel] == 0]
         np.floor_divide.at(block, i, p**e)
-        ats.append(i + s)
-        ps.append(p)
-        es.append(e)
-    return np.concatenate(ats), np.concatenate(ps), np.concatenate(es)
+        yield i + s, p, e
 
 
 def _large_prime_power_base(n: int) -> int:
@@ -484,20 +483,23 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
         return m
     if int(m.min()) < 1:
         raise DomainError("point_values needs every n >= 1")
-    n_max = int(m.max())
-    at, p, e = _strip_small_primes(m)
     if kind.name == "lambda":
-        out = np.ones(len(m), dtype=np.int64)
-        small = np.bincount(at, minlength=len(m))
-        power = (small[at] == 1) & (m[at] == 1)
-        out[at[power]] = p[power]
+        # how many small primes divide n, and one of them
+        small = np.zeros(len(m), dtype=np.int64)
+        base = np.ones(len(m), dtype=np.int64)
+        for at, p, _ in _strip_small_primes(m):
+            np.add.at(small, at, 1)
+            base[at] = p
+        base[(small != 1) | (m != 1)] = 1
         (rest,) = ((small == 0) & (m > 1)).nonzero()
-        out[rest] = [_large_prime_power_base(n) for n in m[rest].tolist()]
-        return out
-    dtype = np.int64 if n_max < _tau_overflow_start(kind.k) else object
-    local = np.array(_local_factors(kind), dtype=dtype)
+        base[rest] = [_large_prime_power_base(n) for n in m[rest].tolist()]
+        return base
+    dtype = np.int64 if int(m.max()) < _tau_overflow_start(kind.k) else object
+    local = _local_factors(kind)
+    table = np.array(local, dtype=dtype)
     out = np.ones(len(m), dtype=dtype)
-    np.multiply.at(out, at, local[e])
+    for at, _, e in _strip_small_primes(m):
+        np.multiply.at(out, at, table[e])
     out[(m > 1) & (m < 10**6)] *= local[1]
     (rest,) = (m >= 10**6).nonzero()
     factors = []
