@@ -54,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .primes import _trial_primes, factor_pairs, introot, is_prime, prime_power_base, primes_upto
+from .primes import _trial_primes, factor_pairs, is_prime, prime_power_base, primes_upto
 
 DEFAULT_MAX_ENTRIES = 1 << 27
 # the term budget of floor_sums, expsum and the CLI, all of which import sieve
@@ -440,38 +440,21 @@ def _strip_small_primes(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray,
         yield i + s, p, e
 
 
-def _large_prime_power_base(n: int) -> int:
-    """prime_power_base(n) for n > 1 with no prime factor below 1009: such
-    an n = p**a has p > 1000, so a <= 6 below 2**63."""
-    if is_prime(n):
-        return n
-    for a in range(2, 7):
-        r = introot(n, a)
-        if r**a == n and is_prime(r):
-            return r
-    return 1
-
-
-@functools.lru_cache(maxsize=None)
-def _local_factors(kind: Kind) -> tuple[int, ...]:
-    """_local_factor(kind, a) for a = 0 .. 63, every exponent below 2**63."""
-    return tuple(_local_factor(kind, a) for a in range(64))
-
-
 def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
     """point_value(kind, n) for every n of ns, an int64 array of values in
     [1, 2**63 - 1], for the lambda and tau kinds.
 
     The whole array is trial-divided at once by the primes up to 1000.
     lambda: an n with a small prime factor p is a prime power iff p is its
-    only one and nothing is left over; an n with none is a prime, or p**a
-    with p > 1000 and a <= 6, found by exact roots. tau_k multiplies the
-    local factors C(e + k - 1, k - 1) of the small primes by those of the
-    cofactor c, whose prime factors all exceed 1000: one prime when
+    only one and nothing is left over; an n with none goes to the scalar
+    prime_power_base, one at a time. tau_k multiplies the local factors
+    C(e + k - 1, k - 1) of the small primes by those of the cofactor c,
+    whose prime factors all exceed 1000: one prime when
     c < 10**6 (as 1009**2 > 10**6) or when is_prime(c); otherwise, below
     10**9 (as 1009**3 > 10**9), p**2 or p*q as an exact square test tells;
     otherwise whatever factor_pairs(c) finds. Every n takes this one route,
-    and only the cofactors of at least 10**6 are handled one at a time.
+    and only these cofactors of at least 10**6 and the lambda points with
+    no small prime factor are handled one at a time.
 
     tau values are int64, or Python ints in an object array when some n
     reaches _tau_overflow_start(k).
@@ -492,22 +475,26 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
             base[at] = p
         base[(small != 1) | (m != 1)] = 1
         (rest,) = ((small == 0) & (m > 1)).nonzero()
-        base[rest] = [_large_prime_power_base(n) for n in m[rest].tolist()]
+        base[rest] = [prime_power_base(n) for n in m[rest].tolist()]
         return base
-    dtype = np.int64 if int(m.max()) < _tau_overflow_start(kind.k) else object
-    local = _local_factors(kind)
+    top = int(m.max())
+    dtype = np.int64 if top < _tau_overflow_start(kind.k) else object
+    # no exponent reaches top.bit_length(); below it 2**e <= top, so when
+    # top < _tau_overflow_start(k) every local factor tau_k(2**e) fits int64
+    local = [_local_factor(kind, a) for a in range(top.bit_length())]
     table = np.array(local, dtype=dtype)
     out = np.ones(len(m), dtype=dtype)
     for at, _, e in _strip_small_primes(m):
         np.multiply.at(out, at, table[e])
-    out[(m > 1) & (m < 10**6)] *= local[1]
+    one, two = _local_factor(kind, 1), _local_factor(kind, 2)
+    out[(m > 1) & (m < 10**6)] *= one
     (rest,) = (m >= 10**6).nonzero()
     factors = []
     for c in m[rest].tolist():
         if is_prime(c):
-            factors.append(local[1])
+            factors.append(one)
         elif c < 10**9:
-            factors.append(local[2] if math.isqrt(c) ** 2 == c else local[1] ** 2)
+            factors.append(two if math.isqrt(c) ** 2 == c else one**2)
         else:
             f = 1
             for _, a in factor_pairs(c):

@@ -51,6 +51,12 @@ def test_floorsum_direct_plain(capsys):
     assert out.strip() == "7"
 
 
+def test_floorsum_blocked_high_tau_order(capsys):
+    code, out, _ = run(capsys, "floorsum", "--f", "tau30", "--x", "1000")
+    assert code == EXIT_OK
+    assert out == "31232666\n"  # sum_direct(tau(30), 1000)
+
+
 def test_floorsum_json_and_dual(capsys):
     code, out, _ = run(capsys, "floorsum", "--f", "tau2", "--x", "100",
                        "--method", "dual", "--N", "10", "--format", "json")

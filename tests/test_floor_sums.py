@@ -147,6 +147,14 @@ def test_sum_blocked_equals_direct_small():
         assert b == pytest.approx(d, rel=1e-12, abs=1e-12), x
 
 
+def test_sum_blocked_high_tau_orders():
+    # the table stops below x from x = 37 on, so the largest quotients go
+    # through point_values, whose tau_k values stay int64 for these x
+    for k in (22, 30):
+        for x in (37, 1000):
+            assert sum_blocked(tau(k), x) == sum_direct(tau(k), x), (k, x)
+
+
 def test_sum_blocked_equals_direct_random_1e6():
     rng = random.Random(11)
     for _ in range(20):

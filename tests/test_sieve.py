@@ -227,9 +227,9 @@ BUILT_POINTS = [
 def test_point_values_built_cases(monkeypatch):
     assert all(math.prod(p**e for p, e in pairs) == n for n, pairs in BUILT_POINTS)
     ns = np.array([n for n, _ in BUILT_POINTS], dtype=np.int64)
-    factored, rooted = [], []
+    factored, based = [], []
     monkeypatch.setattr(sieve, "factor_pairs", lambda c: factored.append(c) or primes.factor_pairs(c))
-    monkeypatch.setattr(sieve, "introot", lambda c, a: rooted.append(c) or primes.introot(c, a))
+    monkeypatch.setattr(sieve, "prime_power_base", lambda n: based.append(n) or primes.prime_power_base(n))
     for k in (2, 3, 4):
         expected = [math.prod(math.comb(e + k - 1, k - 1) for _, e in pairs) for _, pairs in BUILT_POINTS]
         assert point_values(tau(k), ns).tolist() == expected, k
@@ -237,12 +237,11 @@ def test_point_values_built_cases(monkeypatch):
         pairs[0][0] if len(pairs) == 1 else 1 for _, pairs in BUILT_POINTS
     ]
     # only the composite cofactors of 10**9 or more are factored, and only
-    # the composites with no prime factor up to 1000 take roots
+    # the n > 1 with no prime factor up to 1000 go to prime_power_base
     big = {92737 * 649657, 31627**2, 1000003 * 1000033, 31627 * 1000003, 1000003**2, 1000003**3}
     big |= {1009**a for a in range(3, 7)}
     assert set(factored) == big
-    assert set(rooted) == {n for n, pairs in BUILT_POINTS
-                           if pairs and min(pairs)[0] > 1000 and pairs != ((n, 1),)}
+    assert set(based) == {n for n, pairs in BUILT_POINTS if pairs and min(pairs)[0] > 1000}
 
 
 def test_point_values_past_int64_and_bad_input():
@@ -254,6 +253,17 @@ def test_point_values_past_int64_and_bad_input():
         point_values(MU, np.array([6]))
     with pytest.raises(DomainError):
         point_values(tau(2), np.array([5, 0]))
+
+
+def test_point_values_high_tau_orders():
+    # from k = 22 on tau_k(2**62) passes 2**63 - 1, though tau_k of every n
+    # below sieve._tau_overflow_start(k) (99532800 for k = 30) fits int64
+    for k in (22, 30):
+        start = sieve._tau_overflow_start(k)
+        below = list(range(1, 3000)) + [n for n, _ in BUILT_POINTS if n < start] + [start - 1]
+        for ns in (below, below + [start, 2**62]):
+            got = point_values(tau(k), np.array(ns, dtype=np.int64)).tolist()
+            assert got == [point_value(tau(k), n) for n in ns], k
 
 
 def test_factorize_wrapper():
