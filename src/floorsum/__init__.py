@@ -55,9 +55,7 @@ from .sieve import (
     LAMBDA,
     MU,
     ArithmeticTable,
-    Factorization,
     Kind,
-    factorize,
     point_value,
     sieve_table,
     tau,

@@ -73,11 +73,12 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational {text!r}") from exc
 
 
-def parse_form(text: str, label: str | None = None) -> LinearExponentForm:
+def parse_form(text: str) -> LinearExponentForm:
     """Parse forms like "7/15 + r", "11/24 + (7/12)w", "1/2 - w - r".
 
     Terms are rationals, parameter names, or rational coefficients times a
-    name (the * is optional, parenthesized coefficients allowed).
+    name (the * is optional, parenthesized coefficients allowed). The
+    form's label is the stripped text.
     """
     constant = Fraction(0)
     coeffs: dict[str, Fraction] = {}
@@ -105,7 +106,7 @@ def parse_form(text: str, label: str | None = None) -> LinearExponentForm:
             coeffs[name] = coeffs.get(name, Fraction(0)) + s * coef
         pos = m.end()
         first = False
-    return LinearExponentForm(label if label is not None else text.strip(), constant, coeffs)
+    return LinearExponentForm(text.strip(), constant, coeffs)
 
 
 def _solve_fraction_system(matrix, rhs):

@@ -14,7 +14,8 @@ usage error, 3 domain error, 4 budget exceeded.
 Three flags are shared, each declared only by the subcommands that read
 it: --max-terms by floorsum, constant, errfit, vaaler-check,
 vaughan-check and expsum; --seed by vaughan-check and expsum; --cache-dir
-by sieve. A flag that a subcommand does not read is a usage error.
+by sieve. A flag that a subcommand does not read, like any unknown
+argument, is a usage error reported with that subcommand's usage.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import balance, cache, constants, expsum, floor_sums, vaaler, vaughan
 from . import exponent_pairs as ep
-from .errors import BudgetExceededError, DomainError, FloorsumError
+from .errors import BudgetExceededError, DomainError, FloorsumError, charge
 from .sieve import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_TERMS, LAMBDA, MU, Kind, sieve_table, tau
 
 EXIT_OK = 0
@@ -148,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, epilog=epilog, allow_abbrev=False)
         for flag in reads:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(run=run, columns=headers, format=fmt)
+        p.set_defaults(run=run, columns=headers, format=fmt, parser=p)
         return p
 
     p = add_parser("sieve", _cmd_sieve, "tabulate lambda base / mu / tau_k on [lo, hi)", "csv",
@@ -283,15 +284,9 @@ def _cmd_floorsum(args) -> Report:
     return Report(payload, [(value,)])
 
 
-def _charge(args, terms: int, what: str) -> None:
-    """Refuse, before any allocation, work of more than --max-terms terms."""
-    if terms > args.max_terms:
-        raise BudgetExceededError(f"{terms} {what} exceed budget {args.max_terms}")
-
-
 def _cmd_constant(args) -> Report:
     kind = _parse_kind(args.kind, allow_mu=False)
-    _charge(args, args.terms, "constant terms")
+    charge(args.terms, args.max_terms, "constant terms")
     bracket = constants.main_constant(kind, args.terms, order=args.order)
     payload = {"kind": kind.name, "k": kind.k, "terms": bracket.terms_used,
                "lo": bracket.lo, "hi": bracket.hi}
@@ -300,7 +295,7 @@ def _cmd_constant(args) -> Report:
 
 def _cmd_errfit(args) -> Report:
     kind = _parse_kind(args.f, allow_mu=False)
-    _charge(args, args.terms, "constant terms")
+    charge(args.terms, args.max_terms, "constant terms")
     bracket = constants.main_constant(kind, args.terms)
     xs = floor_sums.geometric_grid(args.x_lo, args.x_hi, args.ratio)
     series = floor_sums.error_series(kind, bracket, xs, resolution=args.resolution,
@@ -317,7 +312,7 @@ def _cmd_errfit(args) -> Report:
 def _cmd_vaaler_check(args) -> Report:
     if args.points < 2 or args.x_hi <= args.x_lo:
         raise DomainError("need points >= 2 and x-hi > x-lo")
-    _charge(args, args.points * args.H, "grid points times H")
+    charge(args.points * args.H, args.max_terms, "grid points times H")
     check = vaaler.check_vaaler_inequality(args.H, np.linspace(args.x_lo, args.x_hi, args.points))
     payload = {"H": args.H, "points": args.points, "max_violation": check.max_violation,
                "min_delta": check.min_delta}
@@ -330,7 +325,7 @@ def _cmd_vaughan_check(args) -> Report:
     if args.g == "phase" and args.g_x is None:
         raise DomainError("--g phase needs --g-x")
     # decompose holds O(D1) float arrays, D1 = 2D by default
-    _charge(args, 2 * args.D if args.D1 is None else args.D1, "weights up to D1")
+    charge(2 * args.D if args.D1 is None else args.D1, args.max_terms, "weights up to D1")
     # g as a callable, so decompose checks D and D1 before any weights exist
     weights = {
         "unit": lambda d: np.ones(d.size, dtype=np.complex128),
@@ -436,7 +431,11 @@ def _cmd_classify(args) -> Report:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:
+            # argparse hands a subcommand's leftovers back to the top-level
+            # parser; report them with the subcommand's own usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

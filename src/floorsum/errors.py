@@ -17,6 +17,16 @@ class BudgetExceededError(FloorsumError, RuntimeError):
     """A computation would exceed the configured term or memory budget."""
 
 
+def charge(need: int, budget: int, what: str) -> None:
+    """Refuse need units of work, what names them, when need > budget.
+
+    The one budget check of the package: every caller charges before it
+    allocates or computes anything.
+    """
+    if need > budget:
+        raise BudgetExceededError(f"{need} {what} exceed budget {budget}")
+
+
 class InfeasibleBoxError(DomainError):
     """A box constraint with lower bound above its upper bound."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError, charge
 from .exponent_pairs import (
     BoundEvaluation,
     ExponentPair,
@@ -162,10 +162,7 @@ def compute_expsum(scenario: ExpSumScenario, *, max_terms: int = DEFAULT_MAX_TER
     """Evaluate the scenario's sum exactly as specified: terms in
     ascending index order, compensated accumulation, phase
     h * x / (index product + delta)."""
-    if scenario.term_count > max_terms:
-        raise BudgetExceededError(
-            f"{scenario.term_count} terms exceed the budget of {max_terms}"
-        )
+    charge(scenario.term_count, max_terms, "terms")
     x, delta = scenario.x, scenario.delta
     n_lo = scenario.n_lo
     n = np.arange(n_lo + 1, 2 * n_lo + 1, dtype=np.float64)
@@ -203,15 +200,14 @@ def bound_comparison(
     lemma: str | None = None,
     *,
     max_terms: int = DEFAULT_MAX_TERMS,
-    y_scale: float | None = None,
 ) -> ComparisonReport:
     """Measured modulus against a bound formula; the ratio is recorded,
     never asserted (the formulas carry unspecified constants), but a
     ratio above 1e3 is flagged as a sanity failure.
 
     The monomial shape compares against the single-sum bound with
-    derivative scale Y = h * x / X**2 on the range (X, 2X] (override via
-    y_scale); the multi-range shapes use phase size X = H * x / (M N).
+    derivative scale Y = h * x / X**2 on the range (X, 2X]; the
+    multi-range shapes use phase size X = H * x / (M N).
     """
     result = compute_expsum(scenario, max_terms=max_terms)
     if lemma is None:
@@ -222,8 +218,7 @@ def bound_comparison(
         if pair is None:
             raise DomainError("the VDC bound needs an exponent pair")
         X = float(scenario.n_lo)
-        Y = y_scale if y_scale is not None else scenario.h * scenario.x / (X * X)
-        bound = eval_vdc_bound(pair, Y, X)
+        bound = eval_vdc_bound(pair, scenario.h * scenario.x / (X * X), X)
     elif lemma in ("LWY", "RS"):
         h_size = float(scenario.h_lo) if scenario.shape == "triple" else 1.0
         h_mult = h_size if scenario.shape == "triple" else scenario.h

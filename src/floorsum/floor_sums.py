@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .constants import ConstantBracket
-from .errors import BracketTooWideError, BudgetExceededError, DomainError
+from .errors import BracketTooWideError, DomainError, charge
 from .primes import MAX_FACTOR_INPUT
 from .sieve import DEFAULT_MAX_TERMS, Kind, point_value, point_values, sieve_table, windows
 
@@ -200,8 +200,7 @@ def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
-    if x > max_terms:
-        raise BudgetExceededError(f"direct sum over {x} terms exceeds budget {max_terms}")
+    charge(x, max_terms, "direct sum terms")
     return _reduce_weighted(kind, _quotient_runs(x, x))
 
 
@@ -245,7 +244,7 @@ def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndar
         yield sieve_table(kind, lo, hi).values, counts
 
 
-def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAULT_MAX_TERMS):
+def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     """S_f(x) over the block decomposition: sum of f(q) * block count.
 
     Block counts are formed as arrays window by window (see
@@ -256,23 +255,18 @@ def sum_blocked(kind: Kind, x: int, *, threads: int = 1, max_terms: int = DEFAUL
     n at a time. Both passes stream, so memory is O(window). tau sums are
     exact integers; Lambda sums collect every count * log(b) term and
     reduce them once with math.fsum, which is exactly rounded, so the
-    result does not depend on windowing or order. threads changes nothing;
-    it stays because acceptance criterion 9 checks that the sum is
-    identical for every value. The work, T sieved entries plus x // (T + 1)
-    points, is charged to max_terms before any of it is done: 16062 for
-    Lambda and 6166 for tau at x = 1e6, so the default budget of 10**9
-    stops sum_blocked above x ~ 3.9e15 for Lambda and x ~ 2.6e16 for tau.
+    result is bit-identical for any window size and order. The work, T
+    sieved entries plus x // (T + 1) points, is charged to max_terms
+    before any of it is done: 16062 for Lambda and 6166 for tau at
+    x = 1e6, so the default budget of 10**9 stops sum_blocked above
+    x ~ 3.9e15 for Lambda and x ~ 2.6e16 for tau.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
     table_top = min(x, _TABLE_FACTOR[kind.name] * math.isqrt(x))
     # x // n > table_top exactly for n <= x // (table_top + 1)
     point_count = x // (table_top + 1)
-    if table_top + point_count > max_terms:
-        raise BudgetExceededError(
-            f"{table_top} table entries and {point_count} points at x={x} "
-            f"exceed budget {max_terms}"
-        )
+    charge(table_top + point_count, max_terms, f"table entries and points at x={x}")
     points = (
         point_values(kind, x // np.arange(lo, hi, dtype=np.int64))
         for lo, hi in windows(1, point_count + 1)
@@ -316,11 +310,8 @@ def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) 
     _check_sum_x(x)
     if not 1 <= N <= x:
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
-    most_blocks = 2 * math.isqrt(x) + 1
-    if most_blocks > max_terms:
-        raise BudgetExceededError(f"up to {most_blocks} blocks at x={x} exceed budget {max_terms}")
-    if N > max_terms:
-        raise BudgetExceededError(f"direct part over {N} terms exceeds budget {max_terms}")
+    charge(2 * math.isqrt(x) + 1, max_terms, f"blocks (at most) at x={x}")
+    charge(N, max_terms, "direct part terms")
     s1 = _reduce_weighted(kind, _quotient_runs(x, N))
     tail_pairs: list[tuple[int, int]] = []
     # largest |num|/den so far, compared by cross-multiplication
@@ -356,7 +347,6 @@ def error_series(
     bracket: ConstantBracket,
     xs: Sequence[int],
     *,
-    method: str = "blocked",
     resolution: float | None = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ErrorSeries:
@@ -366,8 +356,7 @@ def error_series(
 
     When a resolution is requested, a bracket too wide to resolve it at
     max(xs) raises BracketTooWideError instead of silently proceeding.
-    Each sum comes from sum_blocked or sum_direct, as method picks, held
-    to max_terms.
+    Each sum comes from sum_blocked, held to max_terms.
     """
     xs = list(xs)
     if any(b >= a for a, b in zip(xs[1:], xs)):
@@ -379,16 +368,10 @@ def error_series(
                 f"bracket width {bracket.width!r} spans {spread!r} at x={max(xs)}, "
                 f"above the requested resolution {resolution!r}"
             )
-    if method == "blocked":
-        evaluate = lambda x: sum_blocked(kind, x, max_terms=max_terms)
-    elif method == "direct":
-        evaluate = lambda x: sum_direct(kind, x, max_terms=max_terms)
-    else:
-        raise DomainError(f"unknown method {method!r}")
     mid = bracket.midpoint
     sums, errs, errs_lo, errs_hi = [], [], [], []
     for x in xs:
-        s = float(evaluate(x))
+        s = float(sum_blocked(kind, x, max_terms=max_terms))
         sums.append(s)
         errs.append(s - mid * x)
         errs_lo.append(s - bracket.hi * x)

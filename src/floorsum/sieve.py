@@ -53,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError, charge
 from .primes import _trial_primes, factor_pairs, is_prime, prime_power_base, primes_upto
 
 DEFAULT_MAX_ENTRIES = 1 << 27
@@ -109,14 +109,6 @@ def tau(k: int) -> Kind:
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """n together with its (prime, exponent) pairs in increasing prime order."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class ArithmeticTable:
     """Sieved values for n in [lo, hi).
 
@@ -147,11 +139,6 @@ class ArithmeticTable:
         nz = self.values > 1
         out[nz] = np.log(self.values[nz].astype(np.float64))
         return out
-
-
-def factorize(n: int) -> Factorization:
-    """Factor n, deterministic and verified by re-multiplication."""
-    return Factorization(n, factor_pairs(n))
 
 
 def windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -185,6 +172,22 @@ def _split_primes(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarr
     return primes[:cut], primes[cut:]
 
 
+def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The exponent of p[i] in n[i], for int64 arrays with every p[i]
+    dividing n[i] and p[i]**2 < 2**63."""
+    e = np.ones(len(n), dtype=np.int64)
+    # few entries have p**2 | n; only those are divided further
+    (sel,) = (n % (p * p) == 0).nonzero()
+    p_sel = p[sel]
+    q = n[sel] // p_sel
+    while len(sel):
+        e[sel] += 1
+        q //= p_sel
+        keep = q % p_sel == 0
+        sel, p_sel, q = sel[keep], p_sel[keep], q[keep]
+    return e
+
+
 def _bucket_hits(lo: int, hi: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(offsets, p, e): every multiple n = lo + offset in [lo, hi) of a prime
     p in primes, with e the exponent of p in n, as three int64 arrays.
@@ -209,18 +212,7 @@ def _bucket_hits(lo: int, hi: int, primes: np.ndarray) -> Iterator[tuple[np.ndar
         last = int(ends[j - 1])
         ps = primes[i:j].repeat(counts[i:j])
         offsets = bases[i:j].repeat(counts[i:j]) + np.arange(first, last) * ps
-        n = offsets + lo
-        e = np.ones(len(ps), dtype=np.int64)
-        # few hits have p**2 | n; only those are divided further
-        (sel,) = (n % (ps * ps) == 0).nonzero()
-        p_sel = ps[sel]
-        q = n[sel] // p_sel
-        while len(sel):
-            e[sel] += 1
-            q //= p_sel
-            keep = q % p_sel == 0
-            sel, p_sel, q = sel[keep], p_sel[keep], q[keep]
-        yield offsets, ps, e
+        yield offsets, ps, _exponents(offsets + lo, ps)
         i, first = j, last
 
 
@@ -369,12 +361,8 @@ def sieve_table(
             f"{kind.label} table over [{lo}, {hi}) would not fit int64: "
             f"{kind.label} tables must end at hi <= {start}"
         )
-    entries = max(hi - lo, math.isqrt(hi - 1))
-    if entries > max_entries:
-        raise BudgetExceededError(
-            f"sieve of {kind.label} over [{lo}, {hi}) needs {entries} entries, "
-            f"budget is {max_entries}"
-        )
+    charge(max(hi - lo, math.isqrt(hi - 1)), max_entries,
+           f"entries of the {kind.label} sieve over [{lo}, {hi})")
     primes = primes_upto(math.isqrt(hi - 1))
     values = np.empty(hi - lo, dtype=np.int64)
     for s, e in windows(lo, hi):
@@ -429,13 +417,7 @@ def _strip_small_primes(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray,
         hit = np.flatnonzero(inverse * block.view(np.uint64) <= limit)
         j, i = np.divmod(hit, len(block))
         p = odd[j]
-        q = block[i] // p
-        e = np.ones(len(p), dtype=np.int64)
-        (sel,) = (q % p == 0).nonzero()
-        while len(sel):
-            e[sel] += 1
-            q[sel] //= p[sel]
-            sel = sel[q[sel] % p[sel] == 0]
+        e = _exponents(block[i], p)
         np.floor_divide.at(block, i, p**e)
         yield i + s, p, e
 

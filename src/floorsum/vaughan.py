@@ -110,11 +110,10 @@ def w_values(U: int, k_max: int) -> np.ndarray:
     return out
 
 
-def type_ii_pairs(D: int, D1: int | None = None) -> list[tuple[int, int]]:
-    """All (m, k) index pairs the type-II sum ranges over (both above the
-    cutoff, product in (D, D1])."""
-    if D1 is None:
-        D1 = 2 * D
+def type_ii_pairs(D: int) -> list[tuple[int, int]]:
+    """All (m, k) index pairs the type-II sum over the dyadic block (D, 2D]
+    ranges over: both above the cutoff, product in (D, 2D]."""
+    D1 = 2 * D
     U = _cutoff(D)
     pairs = []
     for m in range(U + 1, D1 // (U + 1) + 1):

@@ -245,19 +245,20 @@ def test_criterion_08_empirical_error_term():
     )
 
 
-def test_criterion_09_performance_and_threads():
+def test_criterion_09_performance_and_windows(monkeypatch):
     fs.sum_blocked(fs.LAMBDA, 10**6)     # warm caches
     t0 = time.perf_counter()
-    base = fs.sum_blocked(fs.LAMBDA, 10**8, threads=1)
+    base = fs.sum_blocked(fs.LAMBDA, 10**8)
     elapsed = time.perf_counter() - t0
-    same = all(
-        fs.sum_blocked(fs.LAMBDA, 10**8, threads=t) == base for t in (2, 8)
-    )
+    same = True
+    for window in (997, 1 << 16):
+        monkeypatch.setattr(fs.sieve, "_WINDOW", window)
+        same = same and fs.sum_blocked(fs.LAMBDA, 10**8) == base
     report(
         "criterion 9 (performance)",
         elapsed < 10 and same,
         f"sum_blocked(lambda, 1e8) = {base:.6f} in {elapsed:.2f}s < 10s; "
-        f"bit-identical across 1, 2, 8 threads",
+        f"bit-identical with windows of 2^20, 997 and 2^16 entries",
     )
 
 

@@ -333,6 +333,7 @@ def test_option_surface_is_pinned():
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "unrecognized arguments" in err
+    assert err.startswith(f"usage: floorsum {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -119,8 +119,6 @@ def test_bound_comparison_monomial_vdc():
     assert math.isfinite(report.ratio) and report.ratio >= 0
     # derivative scale h x / X^2 = 10^6/10^6 = 1
     assert report.bound.inputs["Y"] == pytest.approx(1.0)
-    custom = bound_comparison(s, pair(F(1, 2), F(1, 2)), y_scale=10**6 / 1000)
-    assert custom.bound.inputs["Y"] == pytest.approx(1000.0)
 
 
 def test_bound_comparison_triple_lwy_and_rs():

@@ -163,15 +163,6 @@ def test_sum_blocked_equals_direct_random_1e6():
         assert sum_blocked(LAMBDA, x) == pytest.approx(sum_direct(LAMBDA, x), rel=1e-11)
 
 
-def test_sum_blocked_thread_counts_identical():
-    x = 10**6
-    base_tau = sum_blocked(tau(2), x, threads=1)
-    base_lam = sum_blocked(LAMBDA, x, threads=1)
-    for threads in (2, 8):
-        assert sum_blocked(tau(2), x, threads=threads) == base_tau
-        assert sum_blocked(LAMBDA, x, threads=threads) == base_lam
-
-
 def test_table_dot_is_exact_past_int64():
     # true dot 11 * 2**61 > 2**63: an int64 dot would wrap
     values = np.array([3, 5, 7], dtype=np.int64)
@@ -461,9 +452,8 @@ def test_error_series_validation():
     wide = ConstantBracket(LAMBDA, 10, 0.0, 1.0)
     with pytest.raises(BracketTooWideError):
         error_series(LAMBDA, wide, [10**4], resolution=1.0)
-    for method in ("blocked", "direct"):
-        with pytest.raises(BudgetExceededError):
-            error_series(LAMBDA, bracket, [10**6], method=method, max_terms=1000)
+    with pytest.raises(BudgetExceededError):
+        error_series(LAMBDA, bracket, [10**6], max_terms=1000)
 
 
 def test_geometric_grid():

@@ -13,7 +13,6 @@ from floorsum.sieve import (
     LAMBDA,
     MU,
     Kind,
-    factorize,
     point_value,
     point_values,
     prime_powers,
@@ -264,12 +263,6 @@ def test_point_values_high_tau_orders():
         for ns in (below, below + [start, 2**62]):
             got = point_values(tau(k), np.array(ns, dtype=np.int64)).tolist()
             assert got == [point_value(tau(k), n) for n in ns], k
-
-
-def test_factorize_wrapper():
-    f = factorize(60)
-    assert f.n == 60 and f.factors == ((2, 2), (3, 1), (5, 1))
-    assert factorize(1).factors == ()
 
 
 def test_sums_restricted_to_table():
