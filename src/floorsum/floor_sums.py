@@ -3,7 +3,8 @@
 Three routes are implemented and cross-checked:
 
 * sum_direct enumerates every n from 1 to x, window by window (see
-  sieve.windows), and adds the point value at each quotient;
+  sieve.windows), into runs of equal quotient, and adds f at each run's
+  quotient times its length;
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
   whose counts are formed as numpy arrays; f(q) is read from sieve tables,
   one per window of sieve.windows, for q <= T = c isqrt(x), with c = 16
@@ -23,13 +24,14 @@ N is clipped at N (its sawtooth form uses floor(x/d) = x/d - psi(x/d) -
 1/2 against the exact lower limit N).
 
 Divisor-kind sums are exact integers. Von Mangoldt sums add count *
-log(base) contributions, in all three routes through one exactly rounded
-math.fsum, so no result depends on the window size. Since
-sum_blocked takes f from the sieve and the batch evaluator and the other
-two from scalar factorization (sieve.point_value), comparing them checks f
-as well as the grouping. sum_blocked charges its T + x // (T + 1) entries
-and points to max_terms, so the default budget of 10**9 stops it near
-x = 3.9e15 for Lambda and 2.6e16 for tau.
+log(base) contributions through one exactly rounded math.fsum, so no
+result depends on the window size; one reducer, _reduce, does both for
+all three routes. sum_blocked reads f(q) for q <= T from the sieve, and
+every other f value of the three routes comes from sieve.point_values, so
+comparing the routes checks the sieve against point_values as well as the
+grouping. sum_blocked charges its T + x // (T + 1) entries and points to
+max_terms, so the default budget of 10**9 stops it near x = 3.9e15 for
+Lambda and 2.6e16 for tau.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .constants import ConstantBracket
 from .errors import BracketTooWideError, DomainError, charge
 from .primes import MAX_FACTOR_INPUT
-from .sieve import DEFAULT_MAX_TERMS, Kind, point_value, point_values, sieve_table, windows
+from .sieve import DEFAULT_MAX_TERMS, Kind, point_values, sieve_table, windows
 
 # sum_blocked reads f from sieve tables up to T = _TABLE_FACTOR[kind.name] * isqrt(x)
 # and evaluates the quotients above T by point_values. From a scan on a
@@ -153,16 +155,17 @@ def _check_sum_kind(kind: Kind) -> None:
 
 
 def _check_sum_x(x: int) -> None:
-    # the n = 1 term is f(x), and point_value factors only up to MAX_FACTOR_INPUT
+    # the n = 1 term is f(x), and point_values takes int64 n, at most MAX_FACTOR_INPUT
     if not 1 <= x <= MAX_FACTOR_INPUT:
         raise DomainError(f"floor-quotient sums need 1 <= x <= {MAX_FACTOR_INPUT}, got {x}")
 
 
-def _quotient_runs(x: int, n_max: int) -> list[tuple[int, int]]:
-    """(q, count) for the maximal runs of q = floor(x/n), n = 1..n_max,
-    found by enumerating every n window by window. Runs split by window
-    borders are merged, so the output does not depend on the window size."""
-    runs: list[tuple[int, int]] = []
+def _quotient_runs(x: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, count) as two int64 arrays, one entry for each maximal run of
+    q = floor(x/n), n = 1..n_max, found by enumerating every n window by
+    window. Runs split by window borders are merged, so the output does
+    not depend on the window size."""
+    values, counts = [], []
     for lo, hi in windows(1, n_max + 1):
         # divided in place: with a second window-sized temporary the freed
         # heap top outgrew glibc's trim threshold, so each window faulted
@@ -170,30 +173,23 @@ def _quotient_runs(x: int, n_max: int) -> list[tuple[int, int]]:
         q = np.arange(lo, hi, dtype=np.int64)
         np.floor_divide(x, q, out=q)
         starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
-        values = q[starts].tolist()
-        counts = np.diff(starts, append=q.size).tolist()
-        if runs and runs[-1][0] == values[0]:
-            runs[-1] = (values[0], runs[-1][1] + counts[0])
-            runs.extend(zip(values[1:], counts[1:]))
-        else:
-            runs.extend(zip(values, counts))
-    return runs
+        values.append(q[starts])
+        counts.append(np.diff(starts, append=q.size))
+    q, count = np.concatenate(values), np.concatenate(counts)
+    starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
+    return q[starts], np.add.reduceat(count, starts)
 
 
-def _reduce_weighted(kind: Kind, pairs: Sequence[tuple[int, int]]):
-    """sum of f(q) * count over (q, count) pairs: an exact integer for
-    tau, one exactly rounded math.fsum of count * log(base) for lambda."""
-    if kind.name == "tau":
-        total = 0
-        for q, cnt in pairs:
-            total += point_value(kind, q) * cnt
-        return total
-    bases = ((point_value(kind, q), cnt) for q, cnt in pairs)
-    return math.fsum(cnt * math.log(b) for b, cnt in bases if b > 1)
+def _run_values(kind: Kind, q: np.ndarray, counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(f values, counts) for the runs (q, counts), with f from
+    point_values, one window of sieve.windows runs at a time."""
+    for lo, hi in windows(0, len(q)):
+        yield point_values(kind, q[lo:hi]), counts[lo:hi]
 
 
 def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
-    """S_f(x) by the literal loop over n = 1..x.
+    """S_f(x) by the literal loop over n = 1..x, grouped into runs of equal
+    quotient, with f at each run's quotient from sieve.point_values.
 
     Exact integer for tau kinds. For lambda the per-run contributions
     count * log(base) are reduced by one exactly rounded math.fsum.
@@ -201,14 +197,16 @@ def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     _check_sum_kind(kind)
     _check_sum_x(x)
     charge(x, max_terms, "direct sum terms")
-    return _reduce_weighted(kind, _quotient_runs(x, x))
+    return _reduce(kind, _run_values(kind, *_quotient_runs(x, x)))
 
 
 def _table_dot(values: np.ndarray, counts: np.ndarray) -> int:
-    """Exact sum of values * counts over non-negative int64 arrays.
+    """Exact sum of values * counts over non-negative arrays: counts int64,
+    values int64 or the object array of Python ints point_values returns
+    for high tau orders.
 
-    One int64 dot when max(values) * sum(counts) < 2**63 bounds it;
-    otherwise Python-int products over the nonzero counts.
+    One dot when max(values) * sum(counts) < 2**63 bounds it; otherwise
+    Python-int products over the nonzero counts.
     """
     if int(values.max()) * int(counts.sum()) < 1 << 63:
         return int(np.dot(values, counts))
@@ -220,6 +218,16 @@ def _lambda_terms(bases: np.ndarray, counts: np.ndarray) -> list[float]:
     """count * log(b) for every prime-power entry some block reaches."""
     hit = (bases > 1) & (counts > 0)
     return (counts[hit] * np.log(bases[hit].astype(np.float64))).tolist()
+
+
+def _reduce(kind: Kind, parts: Iterable[tuple[np.ndarray, np.ndarray]]):
+    """sum of f values * counts over (f values, counts) array pairs: an
+    exact integer for tau, one exactly rounded math.fsum of
+    count * log(base) for lambda, so neither depends on how the pairs are
+    cut or ordered."""
+    if kind.name == "tau":
+        return sum(_table_dot(v, c) for v, c in parts)
+    return math.fsum(chain.from_iterable(_lambda_terms(v, c) for v, c in parts))
 
 
 def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -267,17 +275,9 @@ def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     # x // n > table_top exactly for n <= x // (table_top + 1)
     point_count = x // (table_top + 1)
     charge(table_top + point_count, max_terms, f"table entries and points at x={x}")
-    points = (
-        point_values(kind, x // np.arange(lo, hi, dtype=np.int64))
-        for lo, hi in windows(1, point_count + 1)
-    )
-    tables = _table_windows(kind, x, table_top)
-    if kind.name == "tau":
-        return sum(_table_dot(v, c) for v, c in tables) + sum(sum(v.tolist()) for v in points)
-
-    table_terms = chain.from_iterable(_lambda_terms(v, c) for v, c in tables)
-    point_terms = (math.log(b) for v in points for b in v[v > 1].tolist())
-    return math.fsum(chain(table_terms, point_terms))
+    ns = (np.arange(lo, hi, dtype=np.int64) for lo, hi in windows(1, point_count + 1))
+    points = ((point_values(kind, x // n), np.ones_like(n)) for n in ns)
+    return _reduce(kind, chain(_table_windows(kind, x, table_top), points))
 
 
 def _psi_form_excess(x: int, q: int, n_lo: int, N: int, count: int) -> tuple[int, int]:
@@ -299,10 +299,12 @@ def _psi_form_excess(x: int, q: int, n_lo: int, N: int, count: int) -> tuple[int
 def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> SplitSum:
     """S_f(x) as s1 (n <= N, direct) plus s2 (tail over quotient values).
 
-    The tail count for quotient d is computed both by interval arithmetic
-    and through the sawtooth expansion; the two are compared exactly in
-    integer arithmetic over the denominator d(d+1) and the largest
-    absolute difference is reported as a Fraction (it must be 0).
+    Both parts take f from sieve.point_values, a window of runs at a time:
+    the runs of the direct part, and the tail's quotients. The tail count
+    for quotient d is computed both by interval arithmetic and through the
+    sawtooth expansion; the two are compared exactly in integer arithmetic
+    over the denominator d(d+1) and the largest absolute difference is
+    reported as a Fraction (it must be 0).
     The block count (at most 2 isqrt(x) + 1) and the N direct terms are
     each checked against max_terms up front.
     """
@@ -312,8 +314,8 @@ def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) 
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
     charge(2 * math.isqrt(x) + 1, max_terms, f"blocks (at most) at x={x}")
     charge(N, max_terms, "direct part terms")
-    s1 = _reduce_weighted(kind, _quotient_runs(x, N))
-    tail_pairs: list[tuple[int, int]] = []
+    s1 = _reduce(kind, _run_values(kind, *_quotient_runs(x, N)))
+    tail_q, tail_counts = [], []
     # largest |num|/den so far, compared by cross-multiplication
     worst_num, worst_den = 0, 1
     for q, n_lo, n_hi in distinct_quotients(x).blocks:
@@ -323,8 +325,10 @@ def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) 
         num, den = _psi_form_excess(x, q, n_lo, N, count)
         if abs(num) * worst_den > worst_num * den:
             worst_num, worst_den = abs(num), den
-        tail_pairs.append((q, count))
-    s2 = _reduce_weighted(kind, tail_pairs)
+        tail_q.append(q)
+        tail_counts.append(count)
+    tail = np.array(tail_q, dtype=np.int64), np.array(tail_counts, dtype=np.int64)
+    s2 = _reduce(kind, _run_values(kind, *tail))
     return SplitSum(x, N, s1, s2, s1 + s2, Fraction(worst_num, worst_den))
 
 

@@ -34,14 +34,15 @@ through factorization and the stars-and-bars formula
 tau_k(p**a) = binomial(a + k - 1, k - 1).
 
 point_values evaluates the lambda and tau kinds on a whole array of
-arbitrary n <= 2**63 - 1 (the quotients of floor_sums.sum_blocked above its
-table). It trial-divides the array at once by the primes up to 1000 and
-splits what is left the way the P2 term of Lagarias, Miller and Odlyzko
-(Math. Comp. 1985) and of Deleglise and Rivat (Math. Comp. 1996) splits a
-number free of small primes: below 1009**2 it is prime, below 1009**3 it
-is a prime, p**2 or p*q; only the larger cofactors are tested by is_prime
-and, when composite, split by factor_pairs, one at a time. point_value
-stays the scalar route the batch is tested against.
+arbitrary n <= 2**63 - 1: every f value of the floor_sums routes that
+sum_blocked does not read from its table. It trial-divides the array at
+once by the primes up to 1000 and splits what is left the way the P2 term
+of Lagarias, Miller and Odlyzko (Math. Comp. 1985) and of Deleglise and
+Rivat (Math. Comp. 1996) splits a number free of small primes: below
+1009**2 it is prime, below 1009**3 it is a prime, p**2 or p*q. Both kinds
+classify a cofactor by this one rule: is_prime tells a prime apart, and
+only the composite cofactors from 10**9 on are split by factor_pairs, one
+at a time. point_value stays the scalar route the batch is tested against.
 """
 
 from __future__ import annotations
@@ -422,21 +423,33 @@ def _strip_small_primes(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray,
         yield i + s, p, e
 
 
+def _split_cofactor(c: int) -> tuple[int, tuple[int, ...]]:
+    """(b, exponents) for c >= 10**6 with no prime factor up to 1000: b is
+    the prime base of c (1 unless c is a prime power), exponents those of
+    the prime factors of c. c is prime when is_prime(c); otherwise, below
+    10**9 (as 1009**3 > 10**9), p**2 or p*q as an exact square test tells;
+    otherwise whatever factor_pairs(c) finds."""
+    if is_prime(c):
+        return c, (1,)
+    if c < 10**9:
+        r = math.isqrt(c)
+        return (r, (2,)) if r * r == c else (1, (1, 1))
+    pairs = factor_pairs(c)
+    return pairs[0][0] if len(pairs) == 1 else 1, tuple(e for _, e in pairs)
+
+
 def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
     """point_value(kind, n) for every n of ns, an int64 array of values in
-    [1, 2**63 - 1], for the lambda and tau kinds.
+    [1, 2**63 - 1], for the lambda and tau kinds: the one evaluator of f at
+    arbitrary points for all three routes of floor_sums.
 
-    The whole array is trial-divided at once by the primes up to 1000.
-    lambda: an n with a small prime factor p is a prime power iff p is its
-    only one and nothing is left over; an n with none goes to the scalar
-    prime_power_base, one at a time. tau_k multiplies the local factors
-    C(e + k - 1, k - 1) of the small primes by those of the cofactor c,
-    whose prime factors all exceed 1000: one prime when
-    c < 10**6 (as 1009**2 > 10**6) or when is_prime(c); otherwise, below
-    10**9 (as 1009**3 > 10**9), p**2 or p*q as an exact square test tells;
-    otherwise whatever factor_pairs(c) finds. Every n takes this one route,
-    and only these cofactors of at least 10**6 and the lambda points with
-    no small prime factor are handled one at a time.
+    The whole array is trial-divided at once by the primes up to 1000,
+    which leaves a cofactor c with no prime factor up to 1000. One below
+    10**6 (as 1009**2 > 10**6) is 1 or a prime; a larger one is classified
+    by _split_cofactor, one at a time. lambda: n is a prime power iff it
+    has one small prime factor and c = 1, or none and c is a prime power.
+    tau_k multiplies the local factors C(e + k - 1, k - 1) of the small
+    primes by those of c.
 
     tau values are int64, or Python ints in an object array when some n
     reaches _tau_overflow_start(k).
@@ -456,8 +469,11 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
             np.add.at(small, at, 1)
             base[at] = p
         base[(small != 1) | (m != 1)] = 1
-        (rest,) = ((small == 0) & (m > 1)).nonzero()
-        base[rest] = [prime_power_base(n) for n in m[rest].tolist()]
+        # an n > 1 with no small prime factor is prime below 10**6
+        rest = (small == 0) & (m > 1)
+        base[rest] = m[rest]
+        (big,) = (rest & (m >= 10**6)).nonzero()
+        base[big] = [_split_cofactor(c)[0] for c in m[big].tolist()]
         return base
     top = int(m.max())
     dtype = np.int64 if top < _tau_overflow_start(kind.k) else object
@@ -468,21 +484,10 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
     out = np.ones(len(m), dtype=dtype)
     for at, _, e in _strip_small_primes(m):
         np.multiply.at(out, at, table[e])
-    one, two = _local_factor(kind, 1), _local_factor(kind, 2)
-    out[(m > 1) & (m < 10**6)] *= one
-    (rest,) = (m >= 10**6).nonzero()
-    factors = []
-    for c in m[rest].tolist():
-        if is_prime(c):
-            factors.append(one)
-        elif c < 10**9:
-            factors.append(two if math.isqrt(c) ** 2 == c else one**2)
-        else:
-            f = 1
-            for _, a in factor_pairs(c):
-                f *= local[a]
-            factors.append(f)
-    out[rest] *= np.array(factors, dtype=dtype)
+    out[(m > 1) & (m < 10**6)] *= _local_factor(kind, 1)
+    (big,) = (m >= 10**6).nonzero()
+    factors = [math.prod(local[a] for a in _split_cofactor(c)[1]) for c in m[big].tolist()]
+    out[big] *= np.array(factors, dtype=dtype)
     return out
 
 

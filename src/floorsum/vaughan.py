@@ -110,18 +110,6 @@ def w_values(U: int, k_max: int) -> np.ndarray:
     return out
 
 
-def type_ii_pairs(D: int) -> list[tuple[int, int]]:
-    """All (m, k) index pairs the type-II sum over the dyadic block (D, 2D]
-    ranges over: both above the cutoff, product in (D, 2D]."""
-    D1 = 2 * D
-    U = _cutoff(D)
-    pairs = []
-    for m in range(U + 1, D1 // (U + 1) + 1):
-        for k in range(max(U, D // m) + 1, D1 // m + 1):
-            pairs.append((m, k))
-    return pairs
-
-
 def _weights_on_block(D: int, D1: int, g) -> np.ndarray:
     if callable(g):
         vals = np.asarray(g(np.arange(D + 1, D1 + 1, dtype=np.int64)), dtype=np.complex128)

@@ -131,7 +131,8 @@ def test_quotient_runs_brute_force(monkeypatch, x, n_max):
     # split some runs, e.g. q = 1 on (500, 1000] at x = 1000
     for window in (1, 2, 3, 7, 64, n_max, n_max + 5):
         monkeypatch.setattr(sieve, "_WINDOW", window)
-        assert _quotient_runs(x, n_max) == expected, (x, n_max, window)
+        q, count = _quotient_runs(x, n_max)
+        assert list(zip(q.tolist(), count.tolist())) == expected, (x, n_max, window)
 
 
 def test_sum_blocked_equals_direct_small():
@@ -226,7 +227,8 @@ def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):
 
     monkeypatch.setattr(sieve, "_WINDOW", 997)
     monkeypatch.setattr(floor_sums, "point_values", counted)
-    monkeypatch.setattr(floor_sums, "point_value", lambda *a: pytest.fail("scalar point"))
+    # no route reaches the scalar reference
+    monkeypatch.setattr(sieve, "point_value", lambda *a: pytest.fail("scalar point"))
     for kind, factor in ((LAMBDA, 16), (tau(2), 6)):
         chunks.clear()
         sum_blocked(kind, x)
@@ -236,6 +238,22 @@ def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):
         assert quotients == [x // n for n in range(1, x // (factor * r + 1) + 1)]
         assert 0 < len(quotients) <= r // factor + 1
         assert min(quotients) > factor * r
+    for kind in (LAMBDA, tau(2)):
+        sum_direct(kind, 10**5)
+        sum_dual(kind, 10**5, 300)
+
+
+@pytest.mark.parametrize("x", [36864, 73729])
+def test_sums_past_int64_through_the_shared_reducer(x):
+    # _tau_overflow_start(100) = 36864: from there on tau_100 values pass
+    # 2**63 - 1, and at these x the sum has 65 bits
+    kind = tau(100)
+    assert sieve._tau_overflow_start(100) == 36864
+    oracle = sum(point_value(kind, x // n) for n in range(1, x + 1))
+    assert oracle.bit_length() == 65
+    assert sum_direct(kind, x) == oracle
+    assert sum_blocked(kind, x) == oracle
+    assert sum_dual(kind, x, 100).total == oracle
 
 
 # S_f(x) from the cut at 32 isqrt(x), with every quotient above it factored

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from floorsum import primes, sieve
+from floorsum import floor_sums, primes, sieve
 from floorsum.cache import load_table, save_table, sieve_table_cached
 from floorsum.errors import BudgetExceededError, DomainError, FloorsumError
 from floorsum.sieve import (
@@ -226,21 +226,34 @@ BUILT_POINTS = [
 def test_point_values_built_cases(monkeypatch):
     assert all(math.prod(p**e for p, e in pairs) == n for n, pairs in BUILT_POINTS)
     ns = np.array([n for n, _ in BUILT_POINTS], dtype=np.int64)
-    factored, based = [], []
+    factored = []
     monkeypatch.setattr(sieve, "factor_pairs", lambda c: factored.append(c) or primes.factor_pairs(c))
-    monkeypatch.setattr(sieve, "prime_power_base", lambda n: based.append(n) or primes.prime_power_base(n))
+    monkeypatch.setattr(sieve, "prime_power_base", lambda n: pytest.fail("prime_power_base reached"))
     for k in (2, 3, 4):
         expected = [math.prod(math.comb(e + k - 1, k - 1) for _, e in pairs) for _, pairs in BUILT_POINTS]
         assert point_values(tau(k), ns).tolist() == expected, k
     assert point_values(LAMBDA, ns).tolist() == [
         pairs[0][0] if len(pairs) == 1 else 1 for _, pairs in BUILT_POINTS
     ]
-    # only the composite cofactors of 10**9 or more are factored, and only
-    # the n > 1 with no prime factor up to 1000 go to prime_power_base
+    # both kinds factor only the composite cofactors of 10**9 or more
     big = {92737 * 649657, 31627**2, 1000003 * 1000033, 31627 * 1000003, 1000003**2, 1000003**3}
     big |= {1009**a for a in range(3, 7)}
     assert set(factored) == big
-    assert set(based) == {n for n, pairs in BUILT_POINTS if pairs and min(pairs)[0] > 1000}
+
+
+@pytest.mark.parametrize("x, ns", [
+    (10**7 + 19, None),  # every distinct quotient, as sum_dual's tail and sum_direct's runs
+    (10**12 + 39, range(1, 2001)),  # the largest quotients, as sum_blocked's points
+], ids=["distinct-1e7", "largest-1e12"])
+def test_point_values_on_the_routes_inputs(x, ns):
+    if ns is None:
+        qs = [q for q, _, _ in floor_sums.distinct_quotients(x).blocks]
+        assert len(qs) == 6323
+    else:
+        qs = [x // n for n in ns]
+    for kind in (LAMBDA, tau(2), tau(3)):
+        got = point_values(kind, np.array(qs, dtype=np.int64)).tolist()
+        assert got == [point_value(kind, q) for q in qs], kind.label
 
 
 def test_point_values_past_int64_and_bad_input():

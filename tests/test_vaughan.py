@@ -10,7 +10,6 @@ from floorsum.vaughan import (
     c_coefficients,
     coefficient_bounds_report,
     decompose,
-    type_ii_pairs,
     w_values,
 )
 
@@ -95,13 +94,6 @@ def test_cutoff_and_type_ranges():
     D = 10**4
     dec = decompose(D, np.ones(D, dtype=np.complex128))
     assert dec.U == introot(D, 3) == 21
-    pairs = type_ii_pairs(D)
-    assert pairs, "type-II range must be nonempty"
-    for m, k in pairs:
-        assert m > dec.U and k > dec.U
-        assert D < m * k <= 2 * D
-    # both factors stay below 2D/U, the cube-root window up to dilation
-    assert max(max(m, k) for m, k in pairs) <= 2 * D // (dec.U + 1)
 
 
 def test_c_coefficients_hand_values():
