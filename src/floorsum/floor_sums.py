@@ -8,8 +8,9 @@ Three routes are implemented and cross-checked:
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
   whose counts are formed as numpy arrays; f(q) is read from sieve tables,
   one per window of sieve.windows, for q <= T = c isqrt(x), with c = 16
-  for Lambda and 6 for tau, and the larger quotients, about isqrt(x) / c
-  of them, are evaluated a window at a time by sieve.point_values;
+  for Lambda and 4 for tau, and the larger quotients, about isqrt(x) / c
+  of them, are evaluated a window at a time by sieve.point_values; only
+  the about 2 isqrt(x) table entries that some block reaches are reduced;
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
@@ -31,7 +32,7 @@ every other f value of the three routes comes from sieve.point_values, so
 comparing the routes checks the sieve against point_values as well as the
 grouping. sum_blocked charges its T + x // (T + 1) entries and points to
 max_terms, so the default budget of 10**9 stops it near x = 3.9e15 for
-Lambda and 2.6e16 for tau.
+Lambda and 5.5e16 for tau.
 """
 
 from __future__ import annotations
@@ -52,19 +53,18 @@ from .sieve import DEFAULT_MAX_TERMS, Kind, point_values, sieve_table, windows
 
 # sum_blocked reads f from sieve tables up to T = _TABLE_FACTOR[kind.name] * isqrt(x)
 # and evaluates the quotients above T by point_values. From a scan on a
-# 2-core VM, cold caches, median ms of sum_blocked with the factor c
-# interleaved (21 runs at x <= 1e10, 4 above):
-#   Lambda  c =  8    12    16    24      tau2  c =  4     6     8    11
-#   1.05e9    11.8  10.8  10.4  12.0            11.9  13.0  14.9  18.5
-#   2.1e9     16.5  15.1  14.7  21.2            18.1  20.2  23.8  30.7
-#   1e10      44.3  41.7  43.1  48.3            51.3  59.0  72.0  89.2
-#   1e11            116   117                    292   281   297
-#   1e12            332   332                   1330  1149  1092
-# Lambda is flat over 12-16, and 16 was also best at 1e13 (1.04 s against
-# 1.19 s at 12 and 1.28 s at 24). For tau the points cost more as x grows
-# (more cofactors need is_prime or factor_pairs), so the best c moves from
-# 4 near 1e9 to 8 at 1e12; 6 stays within 15% of the best throughout.
-_TABLE_FACTOR = {"lambda": 16, "tau": 6}
+# 2-core VM, the primes caches cleared before every call, median ms of
+# sum_blocked with the factor c interleaved (21 runs at x <= 2.1e9, 11 at
+# 1e10, 7 at 1e11-1e12, 6 at 1e13):
+#   Lambda  c =  8    12    16    24      tau2  c =  3     4     6     8
+#   2.1e9     12.1  11.0  11.6  15.1            23.8  20.3  24.2  28.5
+#   1e12       292   268   266   300             820   751   767   876
+# tau2 at 1.05e9: 14.1  13.9  15.5  17.3; 1e10: 45.2  47.0  53.1  63.4;
+# 1e11: 189  197  190  215; 1e13 (c = 4, 5, 6): 2697  2716  2615.
+# Lambda is flat over 12-16. For tau, once each distinct cofactor is tested
+# once (sieve.point_values) with as few bases as its size needs
+# (primes.is_prime), 4 is best or within 5% of the best from 1e9 to 1e13.
+_TABLE_FACTOR = {"lambda": 16, "tau": 4}
 
 
 class Block(NamedTuple):
@@ -208,6 +208,8 @@ def _table_dot(values: np.ndarray, counts: np.ndarray) -> int:
     One dot when max(values) * sum(counts) < 2**63 bounds it; otherwise
     Python-int products over the nonzero counts.
     """
+    if not len(values):
+        return 0
     if int(values.max()) * int(counts.sum()) < 1 << 63:
         return int(np.dot(values, counts))
     nz = np.flatnonzero(counts)
@@ -231,25 +233,27 @@ def _reduce(kind: Kind, parts: Iterable[tuple[np.ndarray, np.ndarray]]):
 
 
 def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(f values, block counts) for q in the windows [lo, hi) of
-    sieve.windows covering [1, table_top], where table_top >= isqrt(x).
+    """(f values, block counts) for the quotients q that blocks reach in
+    the windows [lo, hi) of sieve.windows covering [1, table_top], where
+    table_top >= isqrt(x), two pairs per window from one sieve_table.
 
     The count of q is the number of n with floor(x/n) = q: for
-    q <= x // (r + 1), r = isqrt(x), that is x // q - x // (q + 1), all
-    with n > r; above, q = x // n for a single n <= r.
+    q <= q_max = x // (r + 1), r = isqrt(x), that is x // q - x // (q + 1),
+    all with n > r, a dense prefix of the window; above q_max, q = x // n
+    for a single n <= r, read from the table by index with count 1. No
+    window-sized count array is built: most q above q_max are reached by
+    no block. Either pair may be empty.
     """
     r = math.isqrt(x)
     q_max = x // (r + 1)
     for lo, hi in windows(1, table_top + 1):
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        top = min(hi, q_max + 1)
-        if lo < top:
-            cum = x // np.arange(lo, top + 1, dtype=np.int64)
-            counts[: top - lo] = cum[:-1] - cum[1:]
+        values = sieve_table(kind, lo, hi).values
+        top = max(lo, min(hi, q_max + 1))
+        cum = x // np.arange(lo, top + 1, dtype=np.int64)
+        yield values[: top - lo], cum[:-1] - cum[1:]
         # n <= r with lo <= x // n < hi; these quotients are distinct and above q_max
         n = np.arange(x // hi + 1, min(r, x // lo) + 1, dtype=np.int64)
-        counts[x // n - lo] += 1
-        yield sieve_table(kind, lo, hi).values, counts
+        yield values[x // n - lo], np.ones_like(n)
 
 
 def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
@@ -257,17 +261,18 @@ def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
 
     Block counts are formed as arrays window by window (see
     _table_windows). With r = isqrt(x) and c = _TABLE_FACTOR (16 for
-    Lambda, 6 for tau), f(q) for q <= T = min(x, c r) is read from one
-    sieve_table per window of sieve.windows; the quotients x // n > T,
+    Lambda, 4 for tau), f(q) for q <= T = min(x, c r) is read from one
+    sieve_table per window of sieve.windows, and only the entries some
+    block reaches, about 2 r of them, are reduced; the quotients x // n > T,
     about r / c of them, are evaluated by sieve.point_values, one window of
     n at a time. Both passes stream, so memory is O(window). tau sums are
     exact integers; Lambda sums collect every count * log(b) term and
     reduce them once with math.fsum, which is exactly rounded, so the
     result is bit-identical for any window size and order. The work, T
     sieved entries plus x // (T + 1) points, is charged to max_terms
-    before any of it is done: 16062 for Lambda and 6166 for tau at
+    before any of it is done: 16062 for Lambda and 4249 for tau at
     x = 1e6, so the default budget of 10**9 stops sum_blocked above
-    x ~ 3.9e15 for Lambda and x ~ 2.6e16 for tau.
+    x ~ 3.9e15 for Lambda and x ~ 5.5e16 for tau.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)

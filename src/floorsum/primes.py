@@ -1,9 +1,9 @@
 """Prime generation, deterministic primality testing, and factorization.
 
-Everything here is deterministic: Miller-Rabin uses a fixed base set that
-is a proven witness set far beyond 2**63, and the Pollard-Brent splitter
-walks a fixed sequence of polynomial offsets. Factorizations are verified
-by re-multiplication before being returned.
+Everything here is deterministic: Miller-Rabin takes as bases the first
+primes, as many as are proven enough for the size of n (see is_prime), and
+the Pollard-Brent splitter walks a fixed sequence of polynomial offsets.
+Factorizations are verified by re-multiplication before being returned.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .errors import DomainError
 
 MAX_FACTOR_INPUT = 2**63 - 1
 
-# Proven deterministic witness set for n < 3.3 * 10**24.
+# The primes 2..37 are a proven witness set below 318665857834031151167461,
+# about 3.2e23 (Sorenson and Webster, Math. Comp. 2017), so for every n < 2**63.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1000
@@ -41,7 +42,14 @@ def _trial_primes() -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n handled here (< 2**63)."""
+    """Deterministic Miller-Rabin, exact for all n handled here (< 2**63).
+
+    The bases are the first primes, as many as n's size needs. The smallest
+    strong pseudoprime to the bases 2, 3, 5, 7 is 3215031751, and to the
+    bases 2..17 it is 341550071728321 (Jaeschke, Math. Comp. 1993), so n
+    below those takes 4 and 7 bases. Larger n take all 12 bases 2..37,
+    proven below about 3.2e23 (Sorenson and Webster, Math. Comp. 2017).
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -50,7 +58,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    bases = _MR_BASES[:4] if n < 3215031751 else _MR_BASES[:7] if n < 341550071728321 else _MR_BASES
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -40,9 +40,10 @@ once by the primes up to 1000 and splits what is left the way the P2 term
 of Lagarias, Miller and Odlyzko (Math. Comp. 1985) and of Deleglise and
 Rivat (Math. Comp. 1996) splits a number free of small primes: below
 1009**2 it is prime, below 1009**3 it is a prime, p**2 or p*q. Both kinds
-classify a cofactor by this one rule: is_prime tells a prime apart, and
-only the composite cofactors from 10**9 on are split by factor_pairs, one
-at a time. point_value stays the scalar route the batch is tested against.
+classify a cofactor by this one rule, once per distinct cofactor of a call:
+is_prime tells a prime apart, and only the composite cofactors from 10**9
+on are split by factor_pairs, one at a time. point_value stays the scalar
+route the batch is tested against.
 """
 
 from __future__ import annotations
@@ -438,6 +439,16 @@ def _split_cofactor(c: int) -> tuple[int, tuple[int, ...]]:
     return pairs[0][0] if len(pairs) == 1 else 1, tuple(e for _, e in pairs)
 
 
+def _per_cofactor(fn, cs: np.ndarray, dtype) -> np.ndarray:
+    """fn(c) for every c of cs, as an array of dtype, calling fn once per
+    distinct c: x // (p m) = (x // m) // p, so the quotients of one x often
+    share a cofactor (about half of them do at x = 1e12 and 1e13)."""
+    if not len(cs):
+        return np.zeros(0, dtype=dtype)
+    distinct, at = np.unique(cs, return_inverse=True)
+    return np.array([fn(c) for c in distinct.tolist()], dtype=dtype)[at]
+
+
 def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
     """point_value(kind, n) for every n of ns, an int64 array of values in
     [1, 2**63 - 1], for the lambda and tau kinds: the one evaluator of f at
@@ -445,11 +456,11 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
 
     The whole array is trial-divided at once by the primes up to 1000,
     which leaves a cofactor c with no prime factor up to 1000. One below
-    10**6 (as 1009**2 > 10**6) is 1 or a prime; a larger one is classified
-    by _split_cofactor, one at a time. lambda: n is a prime power iff it
-    has one small prime factor and c = 1, or none and c is a prime power.
-    tau_k multiplies the local factors C(e + k - 1, k - 1) of the small
-    primes by those of c.
+    10**6 (as 1009**2 > 10**6) is 1 or a prime; the larger ones are
+    classified by _split_cofactor, once per distinct value (see
+    _per_cofactor). lambda: n is a prime power iff it has one small prime
+    factor and c = 1, or none and c is a prime power. tau_k multiplies the
+    local factors C(e + k - 1, k - 1) of the small primes by those of c.
 
     tau values are int64, or Python ints in an object array when some n
     reaches _tau_overflow_start(k).
@@ -473,7 +484,7 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
         rest = (small == 0) & (m > 1)
         base[rest] = m[rest]
         (big,) = (rest & (m >= 10**6)).nonzero()
-        base[big] = [_split_cofactor(c)[0] for c in m[big].tolist()]
+        base[big] = _per_cofactor(lambda c: _split_cofactor(c)[0], m[big], np.int64)
         return base
     top = int(m.max())
     dtype = np.int64 if top < _tau_overflow_start(kind.k) else object
@@ -486,8 +497,7 @@ def point_values(kind: Kind, ns: np.ndarray) -> np.ndarray:
         np.multiply.at(out, at, table[e])
     out[(m > 1) & (m < 10**6)] *= _local_factor(kind, 1)
     (big,) = (m >= 10**6).nonzero()
-    factors = [math.prod(local[a] for a in _split_cofactor(c)[1]) for c in m[big].tolist()]
-    out[big] *= np.array(factors, dtype=dtype)
+    out[big] *= _per_cofactor(lambda c: math.prod(local[a] for a in _split_cofactor(c)[1]), m[big], dtype)
     return out
 
 

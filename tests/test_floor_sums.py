@@ -175,6 +175,18 @@ def test_table_dot_is_exact_past_int64():
     assert floor_sums._table_dot(values, np.array([1, 2, 3], dtype=np.int64)) == 34
 
 
+def test_reduce_takes_empty_pairs():
+    empty = np.zeros(0, dtype=np.int64)
+    assert floor_sums._table_dot(empty, empty) == 0
+    assert floor_sums._table_dot(np.zeros(0, dtype=object), empty) == 0
+    values, counts = np.array([4, 1, 9], dtype=np.int64), np.array([2, 5, 1], dtype=np.int64)
+    pairs = [(empty, empty), (values, counts), (empty, empty)]
+    assert floor_sums._reduce(tau(2), [(empty, empty)]) == 0
+    assert floor_sums._reduce(tau(2), pairs) == 4 * 2 + 1 * 5 + 9
+    assert floor_sums._reduce(LAMBDA, [(empty, empty)]) == 0.0
+    assert floor_sums._reduce(LAMBDA, pairs) == math.fsum([2 * math.log(4), math.log(9)])
+
+
 @pytest.mark.parametrize("r", [2, 3, 10, 31, 32, 33, 1000])
 def test_sum_blocked_at_square_boundaries(r):
     # x around r**2 moves isqrt(x) and x // (isqrt(x) + 1), where the
@@ -196,7 +208,7 @@ def test_sum_blocked_window_size_invariance(monkeypatch):
 
 
 @pytest.mark.parametrize("module, run, top", [
-    (floor_sums, lambda: sum_blocked(tau(2), 10**6), 6 * 10**3),
+    (floor_sums, lambda: sum_blocked(tau(2), 10**6), 4 * 10**3),
     (constants, lambda: main_constant(tau(2), 10**4), 10**4),
 ], ids=["sum_blocked", "main_constant"])
 def test_every_pass_sieves_in_windows_of_the_sieve(monkeypatch, module, run, top):
@@ -229,7 +241,7 @@ def test_sum_blocked_factors_only_quotients_above_table(monkeypatch):
     monkeypatch.setattr(floor_sums, "point_values", counted)
     # no route reaches the scalar reference
     monkeypatch.setattr(sieve, "point_value", lambda *a: pytest.fail("scalar point"))
-    for kind, factor in ((LAMBDA, 16), (tau(2), 6)):
+    for kind, factor in ((LAMBDA, 16), (tau(2), 4)):
         chunks.clear()
         sum_blocked(kind, x)
         # one call per window, x // n in order for n = 1 .. x // (factor r + 1)
@@ -419,7 +431,7 @@ def test_block_sums_respect_term_budget():
         sum_dual(LAMBDA, x, 1, max_terms=10**6)
     with pytest.raises(BudgetExceededError):
         sum_dual(tau(2), 10**6, 10**5, max_terms=10**4)
-    # at x = 1e12 the tau table alone is 6e6 entries: refused before any work
+    # at x = 1e12 the tau table alone is 4e6 entries: refused before any work
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         sum_blocked(tau(2), 10**12, max_terms=2_000_001)
@@ -431,8 +443,8 @@ def test_block_sums_respect_term_budget():
 @pytest.mark.parametrize("kind, charge", [
     # 16000 table entries plus 10**6 // 16001 = 62 points
     (LAMBDA, 16062),
-    # 6000 table entries plus 10**6 // 6001 = 166 points
-    (tau(2), 6166),
+    # 4000 table entries plus 10**6 // 4001 = 249 points
+    (tau(2), 4249),
 ])
 def test_sum_blocked_charge_is_allowed_exactly(kind, charge):
     got, direct = sum_blocked(kind, 10**6, max_terms=charge), sum_direct(kind, 10**6)

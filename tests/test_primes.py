@@ -46,6 +46,60 @@ def test_is_prime_spot_values(n, expected):
     assert is_prime(n) == expected
 
 
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def twelve_base_is_prime(n):
+    """Miller-Rabin with every base 2..37, a proven test for n < 2**63."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    return all(strong_probable_prime(n, a) for a in bases)
+
+
+# the smallest strong pseudoprimes to the first 4, 5, 6, 7 and 9 prime bases
+STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051]
+BASE_CUTS = [3215031751, 341550071728321]
+
+
+def nearest_primes(n):
+    below, above = n - 1, n
+    while not twelve_base_is_prime(below):
+        below -= 1
+    while not twelve_base_is_prime(above):
+        above += 1
+    return below, above
+
+
+def test_is_prime_base_cuts_against_twelve_bases():
+    assert strong_probable_prime(65359477, 2)  # = 2557 * 25561
+    assert strong_probable_prime(3215031751, 7) and strong_probable_prime(341550071728321, 17)
+    composites = STRONG_PSEUDOPRIMES + [65359477, 561, 41041, 825265, 1009**2, (10**6 + 3) ** 2]
+    for n in composites:
+        assert not twelve_base_is_prime(n) and not is_prime(n), n
+    near = [n for cut in BASE_CUTS for n in nearest_primes(cut)]
+    assert all(twelve_base_is_prime(n) and is_prime(n) for n in near), near
+    rng = random.Random(17)
+    for _ in range(10**4):
+        n = rng.randrange(2**62)
+        assert is_prime(n) == twelve_base_is_prime(n), n
+
+
 def test_factor_pairs_examples():
     assert factor_pairs(1) == ()
     assert factor_pairs(60) == ((2, 2), (3, 1), (5, 1))

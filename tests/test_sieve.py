@@ -241,6 +241,24 @@ def test_point_values_built_cases(monkeypatch):
     assert set(factored) == big
 
 
+def test_point_values_classify_each_distinct_cofactor_once(monkeypatch):
+    # cofactors of 10**6 or more with no prime factor up to 1000: primes and
+    # semiprimes of 10**9 or more, and smaller ones, each repeated bare and
+    # times small numbers
+    cofactors = [10**9 + 7, 10**12 + 39, 1000003 * 1000033, 31627**2, 1000003, 1009 * 1013]
+    multiples = [1, 1, 2, 6, 2**10 * 3**5, 997]
+    ns = np.array([m * c for c in cofactors for m in multiples] + [1, 7, 2**62], dtype=np.int64)
+    ns = ns[np.random.default_rng(5).permutation(len(ns))]
+    calls, split = [], sieve._split_cofactor
+    monkeypatch.setattr(sieve, "_split_cofactor", lambda c: calls.append(c) or split(c))
+    for kind in (LAMBDA, tau(2), tau(100)):
+        calls.clear()
+        got = point_values(kind, ns)
+        assert got.tolist() == [point_value(kind, int(n)) for n in ns], kind.label
+        assert sorted(calls) == sorted(cofactors), kind.label
+    assert got.dtype == object  # tau(100) of 2**62 passes int64
+
+
 @pytest.mark.parametrize("x, ns", [
     (10**7 + 19, None),  # every distinct quotient, as sum_dual's tail and sum_direct's runs
     (10**12 + 39, range(1, 2001)),  # the largest quotients, as sum_blocked's points
