@@ -19,6 +19,7 @@ import math
 import time
 
 from floorsum import LAMBDA, distinct_quotients, sum_blocked, sum_direct, sum_dual, tau
+from floorsum.floor_sums import _TABLE_FACTOR
 
 
 def banner(text):
@@ -51,8 +52,9 @@ x = 10**8
 t0 = time.perf_counter()
 s = sum_blocked(LAMBDA, x)
 t1 = time.perf_counter()
-r = math.isqrt(x)
+# the table cut of sum_blocked: f from the sieve for q <= T, by points above
+T = min(x, _TABLE_FACTOR[LAMBDA.name] * math.isqrt(x))
 print(f"sum_blocked(lambda, 1e8) = {s:.6f} in {t1 - t0:.2f}s "
-      f"({distinct_quotients(x).block_count} blocks; f from a {32 * r}-entry sieve, "
-      f"{x // (32 * r + 1)} point evaluations)")
+      f"({distinct_quotients(x).block_count} blocks; f from a {T}-entry sieve, "
+      f"{x // (T + 1)} point evaluations)")
 print(f"S/x = {s / x:.8f} (heads toward the linear coefficient ~0.4498)")

@@ -2,9 +2,10 @@
 
 Three routes are implemented and cross-checked:
 
-* sum_direct enumerates every n from 1 to x, window by window (see
-  sieve.windows), into runs of equal quotient, and adds f at each run's
-  quotient times its length;
+* sum_direct divides every n from 1 to x, window by window (see
+  sieve.windows), and adds f at each run of equal quotient times its
+  length; up to x = 2**52 the quotients are floors of float64 divisions,
+  exact by the argument in _window_quotients, and int64 divisions above;
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
   whose counts are formed as numpy arrays; f(q) is read from sieve tables,
   one per window of sieve.windows, for q <= T = c isqrt(x), with c = 16
@@ -14,9 +15,12 @@ Three routes are implemented and cross-checked:
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
-  The sawtooth form is evaluated exactly in integer arithmetic over the
-  common denominator d(d+1), through x/d - psi(x/d) - 1/2 = (x - x mod d)/d,
-  and its largest difference from the counting form is reported.
+  The tail blocks are built as int64 arrays a window at a time, and the
+  sawtooth form is evaluated exactly in integer arithmetic over the
+  common denominator d(d+1), through x/d - psi(x/d) - 1/2 = (x - x mod d)/d:
+  in int64 where x(d+1) < 2**63, in Python ints for the larger d, which
+  exist only for x > 2**32. Its largest difference from the counting form
+  is reported.
 
 The split threshold follows one fixed boundary rule: n belongs to the
 tail iff n > N, and the tail enumerates exactly the quotient values
@@ -160,21 +164,48 @@ def _check_sum_x(x: int) -> None:
         raise DomainError(f"floor-quotient sums need 1 <= x <= {MAX_FACTOR_INPUT}, got {x}")
 
 
+def _window_quotients(x: int, lo: int, hi: int) -> np.ndarray:
+    """floor(x/n) for n = lo..hi-1, 1 <= lo <= hi - 1 <= x: float64 array
+    holding exact integers for x <= 2**52, int64 array above.
+
+    For x <= 2**52 each quotient is np.floor(x / n) over a float64 arange,
+    in which x and n are exact. With k = x // n, this is k: rounding is
+    monotone and k is a float, so fl(x/n) >= k; and k + 1 is a float with
+    k + 1 - x/n >= 1/n, because x < n(k+1) in integers, while rounding up to
+    k + 1 needs k + 1 - x/n <= (k+1) 2**-53, half the float spacing below
+    k + 1, that is n(k+1) >= 2**53. But n(k+1) <= x + n <= 2x <= 2**53, with
+    equality only at n = x = 2**52, where x/n = 1 is exact. Above 2**52 the
+    int64 floor_divide is kept: at x = 2**60 + 12345 the float quotient is
+    wrong for 302 of n = 1..2e5.
+    """
+    # divided in place: with a second window-sized temporary the freed
+    # heap top outgrew glibc's trim threshold, so each window faulted
+    # its pages in again (x near 2e6: 28 ms per enumeration, not 15)
+    if x <= 1 << 52:
+        q = np.arange(lo, hi, dtype=np.float64)
+        np.divide(x, q, out=q)
+        return np.floor(q, out=q)
+    q = np.arange(lo, hi, dtype=np.int64)
+    return np.floor_divide(x, q, out=q)
+
+
+def _window_runs(x: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, count) int64 arrays of the runs of floor(x/n) for n = lo..hi-1.
+    The quotient array dies on return, before the next window allocates
+    its own: holding two at once costs each window its page faults again
+    (x = 7.65e6: 27 ms per enumeration, not 16)."""
+    q = _window_quotients(x, lo, hi)
+    starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
+    return q[starts].astype(np.int64, copy=False), np.diff(starts, append=q.size)
+
+
 def _quotient_runs(x: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, count) as two int64 arrays, one entry for each maximal run of
-    q = floor(x/n), n = 1..n_max, found by enumerating every n window by
-    window. Runs split by window borders are merged, so the output does
-    not depend on the window size."""
-    values, counts = [], []
-    for lo, hi in windows(1, n_max + 1):
-        # divided in place: with a second window-sized temporary the freed
-        # heap top outgrew glibc's trim threshold, so each window faulted
-        # its pages in again (x near 2e6: 28 ms per enumeration, not 15)
-        q = np.arange(lo, hi, dtype=np.int64)
-        np.floor_divide(x, q, out=q)
-        starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
-        values.append(q[starts])
-        counts.append(np.diff(starts, append=q.size))
+    q = floor(x/n), n = 1..n_max, found by dividing every n, window by
+    window, with _window_quotients (float64 up to x = 2**52, int64 above).
+    Runs split by window borders are merged, so the output does not depend
+    on the window size."""
+    values, counts = zip(*(_window_runs(x, lo, hi) for lo, hi in windows(1, n_max + 1)))
     q, count = np.concatenate(values), np.concatenate(counts)
     starts = np.concatenate(([0], np.flatnonzero(q[:-1] != q[1:]) + 1))
     return q[starts], np.add.reduceat(count, starts)
@@ -190,6 +221,9 @@ def _run_values(kind: Kind, q: np.ndarray, counts: np.ndarray) -> Iterator[tuple
 def sum_direct(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     """S_f(x) by the literal loop over n = 1..x, grouped into runs of equal
     quotient, with f at each run's quotient from sieve.point_values.
+    Every n is divided (_quotient_runs): in float64 up to x = 2**52, where
+    the floor of the rounded quotient is exact (_window_quotients), in
+    int64 above.
 
     Exact integer for tau kinds. For lambda the per-run contributions
     count * log(base) are reduced by one exactly rounded math.fsum.
@@ -285,31 +319,78 @@ def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     return _reduce(kind, chain(_table_windows(kind, x, table_top), points))
 
 
-def _psi_form_excess(x: int, q: int, n_lo: int, N: int, count: int) -> tuple[int, int]:
+def _psi_form_excess(x: int, q, n_lo, N: int, count):
     """(num, den) with num/den = sawtooth form minus count for the tail
     block of x split at N with quotient q and first index n_lo, exact in
-    integers.
+    integers, with den = q(q+1).
 
     Uses x/q - psi(x/q) - 1/2 = (x - x % q)/q. An interior block
-    (n_lo > N) has the form x/q - x/(q+1) - psi(x/q) + psi(x/(q+1)) over
-    den = q(q+1); the block straddling N has x/q - psi(x/q) - 1/2 - N over
-    den = q.
+    (n_lo > N) has the form x/q - x/(q+1) - psi(x/q) + psi(x/(q+1)); the
+    block straddling N has x/q - psi(x/q) - 1/2 - N.
+
+    q, n_lo and count are Python ints, or arrays of tail blocks taken
+    elementwise: object arrays of Python ints, or int64 arrays when
+    x(q+1) < 2**63 for every q. Then each product below lies in
+    [0, x(q+1)] for a count of at most x/q, and as int64 arithmetic wraps
+    modulo 2**64, num is exact whenever its true value fits int64: 0 for
+    the right count, -den or den for one off by one.
     """
-    if n_lo > N:
-        den = q * (q + 1)
-        return (x - x % q) * (q + 1) - (x - x % (q + 1)) * q - count * den, den
-    return (x - x % q) - N * q - count * q, q
+    den = q * (q + 1)
+    lower = (n_lo > N) * (x - x % (q + 1)) * q + (n_lo <= N) * N * den
+    return (x - x % q) * (q + 1) - lower - count * den, den
+
+
+def _tail_blocks(x: int, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(q, n_lo, count) int64 arrays for the blocks of x with n_hi > N, a
+    window of sieve.windows at a time, in the order of distinct_quotients.
+
+    As in _table_windows, with r = isqrt(x): each n <= r is a block of its
+    own with q = x // n, and the blocks with n > r have q = q_max ... 1,
+    q_max = x // (r + 1), n_hi = x // q and n_lo = x // (q + 1) + 1. The
+    count of a block is the number of its n above N, n_hi - max(n_lo - 1, N);
+    only the first block can straddle N.
+    """
+    r = math.isqrt(x)
+    for lo, hi in windows(N + 1, r + 1):
+        n = np.arange(lo, hi, dtype=np.int64)
+        yield x // n, n, np.ones_like(n)
+    q_top = x // (max(r, N) + 1)
+    for lo, hi in windows(0, q_top):
+        q = np.arange(q_top - lo, q_top - hi, -1, dtype=np.int64)
+        n_lo = x // (q + 1) + 1
+        yield q, n_lo, x // q - np.maximum(n_lo - 1, N)
+
+
+def _largest_excess(x: int, N: int, q: np.ndarray, n_lo: np.ndarray, count: np.ndarray) -> Fraction:
+    """max |_psi_form_excess| over the tail blocks (q, n_lo, count): in
+    int64 for the blocks with x(q+1) < 2**63, in Python ints (object
+    arrays) for the others, which exist only for x above 2**32. The
+    maximum is a Fraction of Python ints, 0 when the identity holds."""
+    fits = q < (2**63 - 1) // x
+    worst = Fraction(0)
+    for part, dtype in ((fits, np.int64), (~fits, object)):
+        if not part.any():
+            continue
+        q_part, n_lo_part, count_part = (
+            a[part].astype(dtype, copy=False) for a in (q, n_lo, count))
+        num, den = _psi_form_excess(x, q_part, n_lo_part, N, count_part)
+        nz = np.flatnonzero(num)
+        for a, b in zip(np.abs(num[nz]).tolist(), den[nz].tolist()):
+            worst = max(worst, Fraction(a, b))
+    return worst
 
 
 def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> SplitSum:
     """S_f(x) as s1 (n <= N, direct) plus s2 (tail over quotient values).
 
-    Both parts take f from sieve.point_values, a window of runs at a time:
-    the runs of the direct part, and the tail's quotients. The tail count
-    for quotient d is computed both by interval arithmetic and through the
-    sawtooth expansion; the two are compared exactly in integer arithmetic
-    over the denominator d(d+1) and the largest absolute difference is
-    reported as a Fraction (it must be 0).
+    Both parts take f from sieve.point_values, a window at a time: the
+    runs of the direct part (_quotient_runs), and the tail's quotients,
+    built as int64 arrays by _tail_blocks. The tail count for quotient d
+    is computed both by interval arithmetic and through the sawtooth
+    expansion; the two are compared exactly over the denominator d(d+1),
+    in int64 where x(d+1) < 2**63 and in Python ints elsewhere
+    (_largest_excess), and the largest absolute difference is reported as
+    a Fraction of Python ints (it must be 0).
     The block count (at most 2 isqrt(x) + 1) and the N direct terms are
     each checked against max_terms up front.
     """
@@ -320,21 +401,15 @@ def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) 
     charge(2 * math.isqrt(x) + 1, max_terms, f"blocks (at most) at x={x}")
     charge(N, max_terms, "direct part terms")
     s1 = _reduce(kind, _run_values(kind, *_quotient_runs(x, N)))
-    tail_q, tail_counts = [], []
-    # largest |num|/den so far, compared by cross-multiplication
-    worst_num, worst_den = 0, 1
-    for q, n_lo, n_hi in distinct_quotients(x).blocks:
-        if n_hi <= N:
-            continue
-        count = n_hi - max(n_lo - 1, N)
-        num, den = _psi_form_excess(x, q, n_lo, N, count)
-        if abs(num) * worst_den > worst_num * den:
-            worst_num, worst_den = abs(num), den
-        tail_q.append(q)
-        tail_counts.append(count)
-    tail = np.array(tail_q, dtype=np.int64), np.array(tail_counts, dtype=np.int64)
-    s2 = _reduce(kind, _run_values(kind, *tail))
-    return SplitSum(x, N, s1, s2, s1 + s2, Fraction(worst_num, worst_den))
+    excess = []
+
+    def tail():
+        for q, n_lo, count in _tail_blocks(x, N):
+            excess.append(_largest_excess(x, N, q, n_lo, count))
+            yield point_values(kind, q), count
+
+    s2 = _reduce(kind, tail())
+    return SplitSum(x, N, s1, s2, s1 + s2, max(excess, default=Fraction(0)))
 
 
 def geometric_grid(lo: int = 10**4, hi: int = 10**8, ratio: int = 2) -> list[int]:

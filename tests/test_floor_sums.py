@@ -13,6 +13,7 @@ from floorsum.errors import BracketTooWideError, BudgetExceededError, DomainErro
 from floorsum.floor_sums import (
     _psi_form_excess,
     _quotient_runs,
+    _window_quotients,
     distinct_quotients,
     error_series,
     fit_exponent,
@@ -124,7 +125,10 @@ def rle_quotients(x, n_max):
 
 
 @pytest.mark.parametrize("x, n_max", [(1, 1), (10, 10), (100, 7), (1000, 31), (1000, 1000),
-                                      (12345, 12344), (99991, 5000), (10**6, 3000)])
+                                      (12345, 12344), (99991, 5000), (10**6, 3000),
+                                      # float64 quotients up to 2**52, int64 above
+                                      (2**52 - 1, 3000), (2**52, 3000), (2**52 + 1, 3000),
+                                      (10**18 + 9, 3000)])
 def test_quotient_runs_brute_force(monkeypatch, x, n_max):
     expected = rle_quotients(x, n_max)
     # window 1 puts a border inside every run longer than one; the others
@@ -133,6 +137,18 @@ def test_quotient_runs_brute_force(monkeypatch, x, n_max):
         monkeypatch.setattr(sieve, "_WINDOW", window)
         q, count = _quotient_runs(x, n_max)
         assert list(zip(q.tolist(), count.tolist())) == expected, (x, n_max, window)
+
+
+def test_window_quotients_exact_below_2_52():
+    x = 2**52 - 1
+    r = math.isqrt(x)
+    # the top 10^6 n below x (q = 1), n around sqrt(x), and the smallest n
+    for lo, hi in ((x - 10**6 + 1, x + 1), (r - 5 * 10**5, r + 5 * 10**5), (1, 10**6)):
+        q = _window_quotients(x, lo, hi)
+        assert q.dtype == np.float64
+        assert np.array_equal(q.astype(np.int64), x // np.arange(lo, hi, dtype=np.int64)), lo
+    assert _window_quotients(2**52, 1, 10).dtype == np.float64
+    assert _window_quotients(2**52 + 1, 1, 10).dtype == np.int64
 
 
 def test_sum_blocked_equals_direct_small():
@@ -405,6 +421,37 @@ def test_sum_dual_reports_miscounted_block(monkeypatch):
             lambda x, q, n_lo, N, count, d=delta: exact(x, q, n_lo, N, count + d),
         )
         assert sum_dual(tau(2), 10**4, 100).psi_form_discrepancy == 1
+
+
+@pytest.mark.parametrize("x, N", [(4 * 10**9 + 7, 10**5), (10**10 + 7, 3)])
+def test_sum_dual_tail_past_int64_products(monkeypatch, x, N):
+    # at 1e10 + 7 the tail blocks n = 4..10 have x (q + 1) >= 2**63, so their
+    # sawtooth excess is formed in Python ints; at 4e9 + 7 every tail block fits
+    needs_python_ints = x * (x // (N + 1) + 1) >= 2**63
+    assert needs_python_ints == (x > 2**32)
+    for kind in (tau(2), tau(3), LAMBDA):
+        split = sum_dual(kind, x, N)
+        blocked = sum_blocked(kind, x)
+        if kind.name == "tau":
+            assert split.total == blocked
+        else:
+            assert split.total == pytest.approx(blocked, rel=1e-9)
+        assert split.psi_form_discrepancy == 0
+        # the CLI's dual JSON prints the numerator
+        assert type(split.psi_form_discrepancy.numerator) is int
+    exact = floor_sums._psi_form_excess
+    dtypes = set()
+    for delta in (-1, 1):
+        def miscounted(x, q, n_lo, N, count, d=delta):
+            dtypes.add(q.dtype)
+            return exact(x, q, n_lo, N, count + d)
+
+        monkeypatch.setattr(floor_sums, "_psi_form_excess", miscounted)
+        split = sum_dual(tau(2), x, N)
+        assert split.psi_form_discrepancy == 1
+        assert type(split.psi_form_discrepancy.numerator) is int
+    assert dtypes == ({np.dtype(np.int64), np.dtype(object)} if needs_python_ints
+                      else {np.dtype(np.int64)})
 
 
 def test_psi_form_excess_at_1e18():
