@@ -72,28 +72,39 @@ def _combine(parts: list[float], order: str) -> float:
     raise DomainError(f"unknown evaluation order {order!r}")
 
 
+def _window_sums(kind: Kind, s: int, e: int, primes: np.ndarray) -> tuple[float, float]:
+    """The sums of f(n)/(n(n+1)) and of f(n)/n**2 over the window [s, e).
+
+    Lambda reads the sparse prime powers of the window, f(p**a) = log p,
+    and skips the square sum (0.0), which only the tau tail needs; tau_k
+    reads a sieved table of the window, freed once its float copy exists.
+    n(n + 1) and n**2 are formed in one reused buffer, by the same float
+    operations as v / (n * (n + 1.0)) and v / (n * n). Every array dies on
+    return, so none is held while the next window is sieved.
+    """
+    if kind.name == "lambda":
+        ns, ps = prime_powers(s, e, primes)
+        n = ns.astype(np.float64)
+        v = np.log(ps.astype(np.float64))
+    else:
+        v = sieve_table(kind, s, e).values.astype(np.float64)
+        n = np.arange(s, e, dtype=np.float64)
+    buf = np.add(n, 1.0)
+    np.multiply(n, buf, out=buf)
+    main = float(np.sum(np.divide(v, buf, out=buf)))
+    if kind.name != "tau":
+        return main, 0.0
+    np.multiply(n, n, out=buf)
+    return main, float(np.sum(np.divide(v, buf, out=buf)))
+
+
 def _partial_sums(kind: Kind, n_terms: int, order: str) -> tuple[float, float]:
     """Partial sums of f(n)/(n(n+1)) and f(n)/n**2 over n <= n_terms, one
-    part per window of sieve.windows, reduced in the given order.
-
-    Lambda reads the sparse prime powers of each window, f(p**a) = log p,
-    and skips the square sum (0.0), which only the tau tail needs; tau_k
-    reads a sieved table of the window.
-    """
+    part per window of sieve.windows (see _window_sums), reduced in the
+    given order."""
     primes = primes_upto(math.isqrt(n_terms))
-    parts_main, parts_sq = [], []
-    for s, e in windows(1, n_terms + 1):
-        if kind.name == "lambda":
-            ns, ps = prime_powers(s, e, primes)
-            n = ns.astype(np.float64)
-            v = np.log(ps.astype(np.float64))
-        else:
-            v = sieve_table(kind, s, e).values.astype(np.float64)
-            n = np.arange(s, e, dtype=np.float64)
-        parts_main.append(float(np.sum(v / (n * (n + 1.0)))))
-        if kind.name == "tau":
-            parts_sq.append(float(np.sum(v / (n * n))))
-    return _combine(parts_main, order), _combine(parts_sq, order)
+    parts_main, parts_sq = zip(*(_window_sums(kind, s, e, primes) for s, e in windows(1, n_terms + 1)))
+    return _combine(list(parts_main), order), _combine(list(parts_sq), order)
 
 
 def _zeta2_power(k: int) -> tuple[float, float]:

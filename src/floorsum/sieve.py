@@ -19,12 +19,17 @@ L entries at L // 64:
   and the exponent of p in each hit from vectorised division. The hits are
   built in groups of at most _BUCKET_GROUP = 2**14, about 1.3 MB of index
   arrays whatever the window size.
-The base kind marks the multiples of each p and takes the p**a lying in
-the window; what stays unmarked is prime. Mobius and tau_k multiply the
-local factor f(p**a) into each multiple and keep the product of the prime
-powers found, so that n over that product is 1 or one prime above
-sqrt(hi - 1). Memory is O(hi - lo + sqrt(hi)) for every kind, the second
-term for the base primes.
+The primes 2 ... 13 mark one entry in every p, so when all six are strided
+primes of a window their a = 1 marks and factors are copied from one
+period of 30030 entries, built on first use, by a few doubling copies (the
+pre-sieve of primesieve); the walk then skips their a = 1 and still takes
+their higher powers. The base kind marks the odd multiples of each odd p
+in a bitmap of the odd n only and takes the p**a lying in the window; what
+stays unmarked is prime. Mobius and tau_k multiply the local factor
+f(p**a) into each multiple and add a one-byte weight floor(4 log2 p) per
+prime power found, and that sum alone tells whether n keeps one prime
+above sqrt(hi - 1) (the lemma of _multiplicative_segment). Memory is
+O(hi - lo + sqrt(hi)) for every kind, the second term for the base primes.
 
 The walk runs over windows of at most _WINDOW entries, and windows(lo, hi)
 is the one place that cuts a range into them: sieve_table, the partial
@@ -70,15 +75,29 @@ _WINDOW = 1 << 20
 # A window of L entries walks p <= L // _BUCKET_SPLIT by strided slices and
 # buckets the larger primes, which have at most _BUCKET_SPLIT multiples in it.
 # A few index entries per multiple cost less than ~2 us of numpy call per
-# slice, but primes with many multiples run faster strided: on a 2-core VM
-# main_constant(LAMBDA, 5e7) took 0.36 s with this cut and 0.67 s with a cut
-# at isqrt(L), where the primes up to 7071 have over 148 multiples a window.
+# slice, but primes with many multiples run faster strided. Medians of 31
+# interleaved runs on a 2-core VM, with 2 ... 13 pre-sieved (ms):
+#   cut   main_constant(LAMBDA, 5e7)   mu, 1e6 at 1e12   Lambda, 1e6 at 1e12
+#    32   125.0                        37.9              18.8
+#    64   122.7                        34.7              18.4
+#   128   134.9                        33.6              20.0
+#   256   176.0                        34.3              20.1
+# tau2 sum_blocked at 2.1e9, whose primes are strided at every cut, read
+# 10.3-10.7 ms throughout. Above 148, the primes up to 7071 of
+# main_constant's windows start to be bucketed.
 _BUCKET_SPLIT = 64
 # The bucketed hits of a window are built in groups of at most _BUCKET_GROUP
 # hits, about 1.3 MB of index arrays, whatever the window size.
 _BUCKET_GROUP = 1 << 14
 # point_values tests _TRIAL_GROUP products (4 MB) of entry and prime at a time
 _TRIAL_GROUP = 1 << 19
+# The primes of _PRESIEVE each have one multiple in every p entries, so one
+# period of _PERIOD = 2*3*5*7*11*13 entries holds all their a = 1 marks and
+# factors (the pre-sieve of primesieve; Oliveira e Silva, Herzog and Pardi,
+# Math. Comp. 2014). Over the odd n alone, 3 ... 13 repeat every
+# _PERIOD // 2 entries.
+_PRESIEVE = (2, 3, 5, 7, 11, 13)
+_PERIOD = 30030
 
 
 @dataclass(frozen=True)
@@ -174,6 +193,77 @@ def _split_primes(primes: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarr
     return primes[:cut], primes[cut:]
 
 
+def _presieved(strided: np.ndarray) -> bool:
+    """Whether every prime of _PRESIEVE is a strided prime of the window, so
+    that their a = 1 marks come from a period and the walk skips them."""
+    return len(strided) >= len(_PRESIEVE) and int(strided[len(_PRESIEVE) - 1]) == _PRESIEVE[-1]
+
+
+def _tile(dst: np.ndarray, period: np.ndarray, start: int) -> None:
+    """Fill dst with entries start, start + 1, ... of a periodic sequence;
+    period holds two of its periods, and start is below one. Past the first
+    period, dst doubles by copying its own head."""
+    k = min(len(dst), len(period) // 2)
+    dst[:k] = period[start : start + k]
+    while k < len(dst):
+        step = min(k, len(dst) - k)
+        dst[k : k + step] = dst[:step]
+        k += step
+
+
+@functools.lru_cache(maxsize=1)
+def _odd_period() -> np.ndarray:
+    """Two periods of the odd n = 2j + 1, j = 0, 1, ...: True where no prime
+    of _PRESIEVE divides n."""
+    keep = np.ones(_PERIOD, dtype=bool)
+    for p in _PRESIEVE[1:]:
+        keep[p >> 1 :: p] = False  # 2j + 1 = p at j = p >> 1
+    keep.setflags(write=False)  # every caller shares the cached array
+    return keep
+
+
+@functools.lru_cache(maxsize=8)
+def _multiplicative_period(kind: Kind) -> tuple[np.ndarray, np.ndarray]:
+    """Two periods of n = 0, 1, ... for mu or tau_k: f(p)**c and the weight
+    sum of the c primes p of _PRESIEVE dividing n, an int64 and a uint8 array
+    (see _multiplicative_segment). A tau_k entry can pass 2**63 and wrap, but
+    an n of a table that reads it has tau_k(n) >= the entry, so below 2**63."""
+    vals = np.ones(2 * _PERIOD, dtype=np.int64)
+    acc = np.zeros(2 * _PERIOD, dtype=np.uint8)
+    f = _local_factor(kind, 1)
+    for p in _PRESIEVE:
+        vals[::p] *= f
+        acc[::p] += _weight(p)
+    vals.setflags(write=False)
+    acc.setflags(write=False)
+    return vals, acc
+
+
+def _weight(p: int) -> int:
+    """floor(4 log2 p), exactly."""
+    return (p**4).bit_length() - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _weight_steps() -> np.ndarray:
+    """steps[j], the least m with m**4 >= 2**j, for j < 128: _weight(p) is
+    the number of steps up to p, less one, for every p < 2**32."""
+    steps = []
+    for j in range(128):
+        m = math.isqrt(math.isqrt(1 << j))  # floor(2**(j/4))
+        steps.append(m if m**4 == 1 << j else m + 1)
+    table = np.array(steps, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _weights(p: np.ndarray) -> np.ndarray:
+    """_weight of every p of an ascending int64 array of p < 2**32, as the
+    number of steps passed: p[i] >= steps[j] iff i >= #(p < steps[j])."""
+    below = p.searchsorted(_weight_steps())
+    return np.bincount(below, minlength=len(p) + 1).cumsum()[: len(p)] - 1
+
+
 def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The exponent of p[i] in n[i], for int64 arrays with every p[i]
     dividing n[i] and p[i]**2 < 2**63."""
@@ -227,27 +317,43 @@ def prime_powers(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.n
     strided walk lists the powers of the primes up to (hi - lo) // 64, and
     the powers among the bucketed hits of the larger primes follow them.
     Callers hand it one window at a time (see windows).
+
+    The remaining primes are read off a bitmap of the odd n of the window
+    only: the even ones are powers of 2, which the walk or the buckets list,
+    or n = 2 itself when primes lacks 2. When 3 ... 13 are strided primes,
+    their marks come from a period of _PERIOD // 2 odd entries (see _tile)
+    and the walk only lists their powers.
     """
-    # stays True for n > 1 with no factor in primes: a prime above them
-    unmarked = np.ones(hi - lo, dtype=bool)
-    if lo == 1:
-        unmarked[0] = False  # 1 is not a prime power
+    first = lo | 1
+    # stays True for odd n > 1 with no factor in primes: a prime above them
+    odd = np.empty((hi - first + 1) // 2, dtype=bool)
     strided, bucketed = _split_primes(primes, hi - lo)
+    presieved = _presieved(strided)
+    if presieved:
+        _tile(odd, _odd_period(), (first >> 1) % (_PERIOD // 2))
+    else:
+        odd.fill(True)
+    if first == 1 and len(odd):
+        odd[0] = False  # 1 is not a prime power
     small_n, small_p = [], []
     for p, a, pa, start in _prime_power_walk(lo, hi, strided):
-        if a == 1:
-            unmarked[start::p] = False
+        if a == 1 and p != 2 and not (presieved and p <= _PRESIEVE[-1]):
+            # the odd multiples of p sit p entries apart in odd
+            n = lo + start if (lo + start) & 1 else lo + start + p
+            odd[(n - first) >> 1 :: p] = False
         if pa >= lo:
             small_n.append(pa)
             small_p.append(p)
     ns, ps = [np.array(small_n, dtype=np.int64)], [np.array(small_p, dtype=np.int64)]
     for offsets, p, e in _bucket_hits(lo, hi, bucketed):
-        unmarked[offsets] = False
         n = offsets + lo
+        odd[(n[(n & 1).astype(bool)] - first) >> 1] = False
         power = p**e == n
         ns.append(n[power])
         ps.append(p[power])
-    big = np.flatnonzero(unmarked) + lo
+    big = np.flatnonzero(odd) * 2 + first
+    if lo <= 2 < hi and not (len(primes) and primes[0] == 2):
+        big = np.concatenate([np.array([2], dtype=np.int64), big])
     return np.concatenate(ns + [big]), np.concatenate(ps + [big])
 
 
@@ -262,36 +368,73 @@ def _multiplicative_segment(kind: Kind, lo: int, hi: int, primes: np.ndarray, va
     """Write mu or tau_k for n in [lo, hi) into vals, an int64 array of
     hi - lo entries; primes must reach sqrt(hi - 1).
 
-    smooth[n] collects the prime powers of the given primes dividing n. In
-    the strided half each p**a swaps the local factor f(p**(a-1)) in vals
+    In the strided half each p**a swaps the local factor f(p**(a-1)) in vals
     for f(p**a); in the bucketed half each hit n of p multiplies in f(p**e)
-    and p**e at once, e being the exponent of p in n. Whatever n has left
-    over is one prime above sqrt(hi - 1), with local factor f(p).
+    at once, e being the exponent of p in n. When 2 ... 13 are strided
+    primes, vals starts from a period holding f(p)**c, c the number of them
+    dividing n, and the walk skips their a = 1 (see _tile). Whatever n has
+    left over is one prime above sqrt(hi - 1), with local factor f(p).
+
+    The leftover is found with one byte per entry: acc[n] adds the weight
+    w(p) = floor(4 log2 p) once per prime power p**a dividing n, p in
+    primes. Write n = S P, S the part of n built from primes, which reach
+    r = isqrt(hi - 1), and P the rest. Then
+
+        P > 1 implies acc < 2 log2 n,  and  P = 1 implies acc >= 3 log2 n,
+
+    so n keeps a prime above r iff acc < T for any integer T with
+    2 log2 n <= T <= 3 log2 n, such as t(n) = (n*n - 1).bit_length() =
+    ceil(2 log2 n). Proof: as w(p) <= 4 log2 p, acc <= 4 log2 S. If P > 1,
+    then P is one prime, as n < hi <= (r + 1)**2, and P >= r + 1 > sqrt(n),
+    so acc <= 4 log2 S < 2 log2 n. If P = 1 and n >= 2, then w(p) >
+    4 log2 p - 1 gives acc > 4 log2 n - Omega(n) >= 3 log2 n; if n = 1,
+    acc = 0. And acc <= 4 log2 n < 252 fits a uint8 for every n < 2**63.
+    One T = floor(3 log2 a) = (a**3).bit_length() - 1 serves every n of
+    [a, b] with b = isqrt(2**T), as b**2 <= 2**T <= a**3: the test is one
+    slice comparison with a scalar per run, about ten runs from n = 1 to
+    2**63, and one for a window of 2**20 entries from lo >= 2**21 on.
     """
     length = hi - lo
-    smooth = np.ones(length, dtype=np.int64)
-    vals.fill(1)
+    # no p**a < hi has a >= hi.bit_length()
+    local = [_local_factor(kind, a) for a in range(hi.bit_length())]
     strided, bucketed = _split_primes(primes, length)
+    presieved = _presieved(strided)
+    if presieved:
+        period, weights = _multiplicative_period(kind)
+        _tile(vals, period, lo % _PERIOD)
+        acc = np.empty(length, dtype=np.uint8)
+        _tile(acc, weights, lo % _PERIOD)
+    else:
+        vals.fill(1)
+        acc = np.zeros(length, dtype=np.uint8)
     for p, a, pa, start in _prime_power_walk(lo, hi, strided):
+        if a == 1 and presieved and p <= _PRESIEVE[-1]:
+            continue
+        acc[start::pa] += _weight(p)
         step = vals[start::pa]
-        smooth[start::pa] *= p
-        old = _local_factor(kind, a - 1)
+        old, new = local[a - 1], local[a]
         if old == 0:  # mu past p**2 stays 0
+            continue
+        if new == 0:
+            step.fill(0)
             continue
         if old != 1:
             step //= old
-        step *= _local_factor(kind, a)
+        step *= new
     for offsets, p, e in _bucket_hits(lo, hi, bucketed):
-        factors = [_local_factor(kind, a) for a in range(int(e.max()) + 1)]
-        np.multiply.at(vals, offsets, np.array(factors, dtype=np.int64)[e])
-        np.multiply.at(smooth, offsets, p**e)
-    # n is built 2**16 entries at a time, so that it never adds a second
-    # window of memory to vals and smooth at the peak
-    block = 1 << 16
-    for s in range(0, length, block):
-        n = np.arange(lo + s, lo + min(length, s + block), dtype=np.int64)
-        out = vals[s : s + block]
-        np.multiply(out, _local_factor(kind, 1), out=out, where=n != smooth[s : s + block])
+        np.multiply.at(vals, offsets, np.array(local[: int(e.max()) + 1], dtype=np.int64)[e])
+        np.add.at(acc, offsets, (e * _weights(p)).astype(np.uint8))
+    leftover = np.empty(length, dtype=bool)
+    s = 0
+    while s < length:
+        t = ((lo + s) ** 3).bit_length() - 1
+        e = min(length, math.isqrt(1 << t) + 1 - lo)
+        np.less(acc[s:e], t, out=leftover[s:e])
+        s = e
+    # each n is multiplied by 1 + (f(p) - 1) * [leftover], a factor of one
+    # byte when f(p) fits: a masked multiply costs several times more
+    f = local[1]
+    vals *= leftover * (np.int8(f - 1) if -128 <= f - 1 and f <= 127 else np.int64(f - 1)) + 1
 
 
 _INT64_MAX = (1 << 63) - 1

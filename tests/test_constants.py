@@ -89,6 +89,23 @@ def test_window_size_does_not_change_brackets(monkeypatch):
     assert bracket.lo == pytest.approx(partial, rel=1e-12)
 
 
+# main_constant's brackets, pinned bit for bit: the sieve and the float
+# operations of the partial sums may be rearranged, never changed
+PINNED_BRACKETS = [
+    (tau(2), 10**6, "0x1.e1792734cced1p+0", "0x1.e17a3322c8d45p+0"),
+    (tau(2), 5 * 10**6, "0x1.e179f8262fcd2p+0", "0x1.e17a3322c0b3ap+0"),
+    (tau(3), 10**6, "0x1.b38b6b189caccp+1", "0x1.b38fe95973192p+1"),
+    (tau(3), 5 * 10**6, "0x1.b38ed4713ea4ap+1", "0x1.b38fe95951762p+1"),
+    (LAMBDA, 5 * 10**7, "0x1.cca3fb7c0de0dp-2", "0x1.cca4149ec93d1p-2"),
+]
+
+
+@pytest.mark.parametrize("kind, n_terms, lo, hi", PINNED_BRACKETS)
+def test_brackets_are_pinned(kind, n_terms, lo, hi):
+    bracket = main_constant(kind, n_terms)
+    assert (bracket.lo.hex(), bracket.hi.hex()) == (lo, hi)
+
+
 def test_tau_width_is_zeta_tail():
     # hi - lo collapses to (zeta(2)^k - partial square sum) + padding
     b1 = main_constant(tau(2), 10**3)

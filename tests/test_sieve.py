@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,16 +384,77 @@ def _prime_power_order(lo, hi):
     return [n for n, _ in walk] + rest, [p for _, p in walk] + rest
 
 
+# Windows at the edges of the pre-sieve: lo = 1, 2, 3 with base primes that
+# stop short of 13 or do not exist, n = 2 with 2 bucketed, the shortest
+# windows near the origin that use the period, and windows of either parity
+# that straddle a multiple of 30030, the period of 2 ... 13 (and of 3 ... 13
+# over the odd n), or span more than two periods.
+PRESIEVE_EDGES = [
+    (1, 169), (2, 169), (3, 170), (1, 3), (2, 3), (2, 4), (1, 100), (1, 833), (2, 834),
+    (30030 * 7 - 1000, 30030 * 7 + 1000),
+    (30030 * 33 - 499, 30030 * 33 + 2000),
+    (30030 * 40 - 7, 30030 * 42 + 5),
+]
+
+
 @pytest.mark.parametrize("lo, hi", [
     (1, 3000),                                 # primes 47 and 53 above the cut 46
     (1000003**2 - 500, 1000003**2 + 500),      # cut 15, p**2 of the largest base prime
     (2**40 - 25, 2**40 + 25),                  # 50 entries: every prime above the cut
-])
+] + PRESIEVE_EDGES)
 def test_prime_powers_follow_the_documented_order(lo, hi):
     ns, ps = prime_powers(lo, hi, primes_upto(math.isqrt(hi - 1)))
     expected_n, expected_p = _prime_power_order(lo, hi)
     assert ns.tolist() == expected_n
     assert ps.tolist() == expected_p
+
+
+@pytest.mark.parametrize("lo, hi", PRESIEVE_EDGES)
+def test_windows_at_the_edges_of_the_presieve(lo, hi):
+    strided = sieve._split_primes(primes_upto(math.isqrt(hi - 1)), hi - lo)[0]
+    assert sieve._presieved(strided) == (hi - lo >= 64 * 13 and hi > 13**2)
+    for kind in WALK_KINDS:
+        values = sieve_table(kind, lo, hi).values.tolist()
+        assert values == [point_value(kind, n) for n in range(lo, hi)], kind.label
+
+
+def test_leftover_weights_tell_a_prime_above_the_sieving_primes():
+    # _multiplicative_segment's lemma: acc, the weights floor(4 log2 p) of
+    # the prime powers p**a | n with p <= r = isqrt(hi - 1), is below
+    # 2 log2 n when n has a prime factor above r and at least 3 log2 n when
+    # not, so below t(n) = ceil(2 log2 n) exactly in the first case
+    rng = random.Random(2121)
+    cases = [(n, hi) for n in range(1, 2 * 10**5 + 1) for hi in (n + 1, 2 * 10**5 + 1)]
+    for top in (53, 62):
+        for _ in range(1000):
+            n = (1 << top) - rng.randrange(1, 1 << 40)
+            cases.append((n, n + 1 + rng.randrange(1 << 20)))
+    for n, hi in cases:
+        r = math.isqrt(hi - 1)
+        pairs = primes.factor_pairs(n)
+        acc = sum(e * ((p**4).bit_length() - 1) for p, e in pairs if p <= r)
+        leftover = any(p > r for p, _ in pairs)
+        assert acc < 256
+        assert (acc < (n * n - 1).bit_length()) == leftover, (n, hi)
+        assert 2**acc < n * n if leftover else 2**acc >= n**3, (n, hi)
+    # the strided walk and the bucketed hits take these weights
+    ps = np.concatenate([primes_upto(10**5), [2**31 - 1, 3037000493, 2**32 - 5]]).tolist()
+    weights = [(p**4).bit_length() - 1 for p in ps]
+    assert [sieve._weight(p) for p in ps] == weights
+    assert sieve._weights(np.array(ps, dtype=np.int64)).tolist() == weights
+
+
+def test_import_builds_no_period():
+    # the periods are built on first use: importing the package and its CLI
+    # does no sieve work
+    code = ("import floorsum, floorsum.cli, floorsum.cache\n"
+            "from floorsum import sieve\n"
+            "caches = (sieve._odd_period, sieve._multiplicative_period, sieve._weight_steps)\n"
+            "print(*(f.cache_info().currsize for f in caches))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sieve.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("power", [2, 3])
