@@ -7,7 +7,7 @@ Three routes are implemented and cross-checked:
   length; up to x = 2**52 the quotients are floors of float64 divisions,
   exact by the argument in _window_quotients, and int64 divisions above;
 * sum_blocked groups n by the quotient q = floor(x/n), O(sqrt x) blocks
-  whose counts are formed as numpy arrays; f(q) is read from sieve tables,
+  enumerated as numpy arrays by _blocks; f(q) is read from sieve tables,
   one per window of sieve.windows, for q <= T = c isqrt(x), with c = 16
   for Lambda and 4 for tau, and the larger quotients, about isqrt(x) / c
   of them, are evaluated a window at a time by sieve.point_values; only
@@ -15,12 +15,11 @@ Three routes are implemented and cross-checked:
 * sum_dual splits the range at a threshold N and rewrites the tail over
   quotient values d, where the interval count floor(x/d) - floor(x/(d+1))
   equals x/d - x/(d+1) - psi(x/d) + psi(x/(d+1)) for the sawtooth psi.
-  The tail blocks are built as int64 arrays a window at a time, and the
-  sawtooth form is evaluated exactly in integer arithmetic over the
-  common denominator d(d+1), through x/d - psi(x/d) - 1/2 = (x - x mod d)/d:
-  in int64 where x(d+1) < 2**63, in Python ints for the larger d, which
-  exist only for x > 2**32. Its largest difference from the counting form
-  is reported.
+  The tail blocks come from the same _blocks, and the sawtooth form is
+  evaluated exactly in integer arithmetic over the common denominator
+  d(d+1), through x/d - psi(x/d) - 1/2 = (x - x mod d)/d: in int64 where
+  x(d+1) < 2**63, in Python ints for the larger d, which exist only for
+  x > 2**32. Its largest difference from the counting form is reported.
 
 The split threshold follows one fixed boundary rule: n belongs to the
 tail iff n > N, and the tail enumerates exactly the quotient values
@@ -37,6 +36,11 @@ comparing the routes checks the sieve against point_values as well as the
 grouping. sum_blocked charges its T + x // (T + 1) entries and points to
 max_terms, so the default budget of 10**9 stops it near x = 3.9e15 for
 Lambda and 5.5e16 for tau.
+
+_blocks(x, q_lo, q_hi) is the one array enumerator of the blocks; every
+floor(x/n) over a range of n, in all three routes, goes through
+_window_quotients. distinct_quotients, a scalar loop over the same blocks,
+is the reference the enumerator is tested against.
 """
 
 from __future__ import annotations
@@ -127,7 +131,9 @@ class FitResult:
 
 
 def distinct_quotients(x: int) -> BlockDecomposition:
-    """All maximal blocks (q, n_lo, n_hi) with floor(x/n) = q on [n_lo, n_hi]."""
+    """All maximal blocks (q, n_lo, n_hi) with floor(x/n) = q on [n_lo, n_hi],
+    n_lo ascending, by a scalar loop: the reference that the array
+    enumerator _blocks is tested against."""
     if x < 1:
         raise DomainError("distinct_quotients needs x >= 1")
     blocks = []
@@ -266,41 +272,35 @@ def _reduce(kind: Kind, parts: Iterable[tuple[np.ndarray, np.ndarray]]):
     return math.fsum(chain.from_iterable(_lambda_terms(v, c) for v, c in parts))
 
 
-def _table_windows(kind: Kind, x: int, table_top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(f values, block counts) for the quotients q that blocks reach in
-    the windows [lo, hi) of sieve.windows covering [1, table_top], where
-    table_top >= isqrt(x), two pairs per window from one sieve_table.
-
-    The count of q is the number of n with floor(x/n) = q: for
-    q <= q_max = x // (r + 1), r = isqrt(x), that is x // q - x // (q + 1),
-    all with n > r, a dense prefix of the window; above q_max, q = x // n
-    for a single n <= r, read from the table by index with count 1. No
-    window-sized count array is built: most q above q_max are reached by
-    no block. Either pair may be empty.
-    """
+def _blocks(x: int, q_lo: int, q_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(q, count) int64 arrays, a window of sieve.windows at a time, for
+    the blocks of x with q_lo <= q < q_hi (q_lo >= 1); count is the number
+    of n with floor(x/n) = q. With r = isqrt(x), each n <= r is a block of
+    its own, count 1, over n in (x // q_hi, min(r, x // q_lo)]: yielded
+    first, n ascending, so q descends. Every q <= q_max = x // (r + 1) is
+    then reached by x // q - x // (q + 1) values of n, all above r: yielded
+    q ascending. Both parts divide through _window_quotients; no sum
+    depends on the order."""
     r = math.isqrt(x)
-    q_max = x // (r + 1)
-    for lo, hi in windows(1, table_top + 1):
-        values = sieve_table(kind, lo, hi).values
-        top = max(lo, min(hi, q_max + 1))
-        cum = x // np.arange(lo, top + 1, dtype=np.int64)
-        yield values[: top - lo], cum[:-1] - cum[1:]
-        # n <= r with lo <= x // n < hi; these quotients are distinct and above q_max
-        n = np.arange(x // hi + 1, min(r, x // lo) + 1, dtype=np.int64)
-        yield values[x // n - lo], np.ones_like(n)
+    for lo, hi in windows(x // q_hi + 1, min(r, x // q_lo) + 1):
+        yield _window_quotients(x, lo, hi).astype(np.int64, copy=False), np.ones(hi - lo, dtype=np.int64)
+    for lo, hi in windows(q_lo, min(q_hi, x // (r + 1) + 1)):
+        # int64 before the difference: 4 ms less than a float difference over the 1e6 q at x = 1e12
+        cum = _window_quotients(x, lo, hi + 1).astype(np.int64, copy=False)
+        yield np.arange(lo, hi, dtype=np.int64), cum[:-1] - cum[1:]
 
 
 def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     """S_f(x) over the block decomposition: sum of f(q) * block count.
 
-    Block counts are formed as arrays window by window (see
-    _table_windows). With r = isqrt(x) and c = _TABLE_FACTOR (16 for
-    Lambda, 4 for tau), f(q) for q <= T = min(x, c r) is read from one
-    sieve_table per window of sieve.windows, and only the entries some
-    block reaches, about 2 r of them, are reduced; the quotients x // n > T,
-    about r / c of them, are evaluated by sieve.point_values, one window of
-    n at a time. Both passes stream, so memory is O(window). tau sums are
-    exact integers; Lambda sums collect every count * log(b) term and
+    The blocks come as arrays from _blocks. With r = isqrt(x) and
+    c = _TABLE_FACTOR (16 for Lambda, 4 for tau), the quotients above
+    T = min(x, c r), the x // n for n <= x // (T + 1), about r / c of them,
+    are evaluated first by sieve.point_values, one window of n at a time.
+    Then f(q) for q <= T is read from one sieve_table per window [lo, hi)
+    of sieve.windows, at the blocks _blocks(x, lo, hi) yields, about 2 r
+    entries in all. Both passes stream, so memory is O(window). tau sums
+    are exact integers; Lambda sums collect every count * log(b) term and
     reduce them once with math.fsum, which is exactly rounded, so the
     result is bit-identical for any window size and order. The work, T
     sieved entries plus x // (T + 1) points, is charged to max_terms
@@ -312,11 +312,20 @@ def sum_blocked(kind: Kind, x: int, *, max_terms: int = DEFAULT_MAX_TERMS):
     _check_sum_x(x)
     table_top = min(x, _TABLE_FACTOR[kind.name] * math.isqrt(x))
     # x // n > table_top exactly for n <= x // (table_top + 1)
-    point_count = x // (table_top + 1)
-    charge(table_top + point_count, max_terms, f"table entries and points at x={x}")
-    ns = (np.arange(lo, hi, dtype=np.int64) for lo, hi in windows(1, point_count + 1))
-    points = ((point_values(kind, x // n), np.ones_like(n)) for n in ns)
-    return _reduce(kind, chain(_table_windows(kind, x, table_top), points))
+    charge(table_top + x // (table_top + 1), max_terms, f"table entries and points at x={x}")
+
+    def table():
+        for lo, hi in windows(1, table_top + 1):
+            values = sieve_table(kind, lo, hi).values
+            for q, count in _blocks(x, lo, hi):
+                # q starts at lo only as the dense part lo, lo + 1, ... or as one
+                # sparse block: a slice, not a gather (Lambda at 1e12: 4 ms)
+                yield (values[: q.size] if q[0] == lo else values[q - lo]), count
+
+    # the points run first: a sieved window left alive through them costs
+    # its pages again (Lambda at 1e9: 6.6 ms, not 3.7 ms)
+    points = ((point_values(kind, q), count) for q, count in _blocks(x, table_top + 1, x + 1))
+    return _reduce(kind, chain(points, table()))
 
 
 def _psi_form_excess(x: int, q, n_lo, N: int, count):
@@ -338,27 +347,6 @@ def _psi_form_excess(x: int, q, n_lo, N: int, count):
     den = q * (q + 1)
     lower = (n_lo > N) * (x - x % (q + 1)) * q + (n_lo <= N) * N * den
     return (x - x % q) * (q + 1) - lower - count * den, den
-
-
-def _tail_blocks(x: int, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(q, n_lo, count) int64 arrays for the blocks of x with n_hi > N, a
-    window of sieve.windows at a time, in the order of distinct_quotients.
-
-    As in _table_windows, with r = isqrt(x): each n <= r is a block of its
-    own with q = x // n, and the blocks with n > r have q = q_max ... 1,
-    q_max = x // (r + 1), n_hi = x // q and n_lo = x // (q + 1) + 1. The
-    count of a block is the number of its n above N, n_hi - max(n_lo - 1, N);
-    only the first block can straddle N.
-    """
-    r = math.isqrt(x)
-    for lo, hi in windows(N + 1, r + 1):
-        n = np.arange(lo, hi, dtype=np.int64)
-        yield x // n, n, np.ones_like(n)
-    q_top = x // (max(r, N) + 1)
-    for lo, hi in windows(0, q_top):
-        q = np.arange(q_top - lo, q_top - hi, -1, dtype=np.int64)
-        n_lo = x // (q + 1) + 1
-        yield q, n_lo, x // q - np.maximum(n_lo - 1, N)
 
 
 def _largest_excess(x: int, N: int, q: np.ndarray, n_lo: np.ndarray, count: np.ndarray) -> Fraction:
@@ -385,28 +373,32 @@ def sum_dual(kind: Kind, x: int, N: int, *, max_terms: int = DEFAULT_MAX_TERMS) 
 
     Both parts take f from sieve.point_values, a window at a time: the
     runs of the direct part (_quotient_runs), and the tail's quotients,
-    built as int64 arrays by _tail_blocks. The tail count for quotient d
-    is computed both by interval arithmetic and through the sawtooth
-    expansion; the two are compared exactly over the denominator d(d+1),
-    in int64 where x(d+1) < 2**63 and in Python ints elsewhere
-    (_largest_excess), and the largest absolute difference is reported as
-    a Fraction of Python ints (it must be 0).
-    The block count (at most 2 isqrt(x) + 1) and the N direct terms are
-    each checked against max_terms up front.
+    the blocks _blocks(x, 1, x // (N + 1) + 1) with n_hi = x // q > N. A
+    tail block counts its n above N, min(count, n_hi - N); only the block
+    straddling N is clipped. The tail count for quotient d is computed
+    both by interval arithmetic and through the sawtooth expansion; the
+    two are compared exactly over the denominator d(d+1), in int64 where
+    x(d+1) < 2**63 and in Python ints elsewhere (_largest_excess), and the
+    largest absolute difference is reported as a Fraction of Python ints
+    (it must be 0). The work, N direct terms plus max(0, r - N) single-n
+    tail blocks and x // (max(r, N) + 1) tail blocks with q <= q_max,
+    r = isqrt(x), is charged to max_terms once, up front.
     """
     _check_sum_kind(kind)
     _check_sum_x(x)
     if not 1 <= N <= x:
         raise DomainError(f"split point N={N} must lie in [1, {x}]")
-    charge(2 * math.isqrt(x) + 1, max_terms, f"blocks (at most) at x={x}")
-    charge(N, max_terms, "direct part terms")
+    r = math.isqrt(x)
+    charge(N + max(0, r - N) + x // (max(r, N) + 1), max_terms, f"direct terms and tail blocks at x={x}")
     s1 = _reduce(kind, _run_values(kind, *_quotient_runs(x, N)))
     excess = []
 
     def tail():
-        for q, n_lo, count in _tail_blocks(x, N):
-            excess.append(_largest_excess(x, N, q, n_lo, count))
-            yield point_values(kind, q), count
+        for q, count in _blocks(x, 1, x // (N + 1) + 1):
+            n_hi = x // q
+            clipped = np.minimum(count, n_hi - N)
+            excess.append(_largest_excess(x, N, q, n_hi - count + 1, clipped))
+            yield point_values(kind, q), clipped
 
     s2 = _reduce(kind, tail())
     return SplitSum(x, N, s1, s2, s1 + s2, max(excess, default=Fraction(0)))

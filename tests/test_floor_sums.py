@@ -23,6 +23,7 @@ from floorsum.floor_sums import (
     sum_direct,
     sum_dual,
 )
+from floorsum.primes import introot
 from floorsum.sieve import LAMBDA, MU, point_value, point_values, tau
 
 
@@ -151,6 +152,47 @@ def test_window_quotients_exact_below_2_52():
     assert _window_quotients(2**52 + 1, 1, 10).dtype == np.int64
 
 
+def enumerated_blocks(x, pieces):
+    """(q, count) pairs of floor_sums._blocks(x, q_lo, q_hi) over the
+    pieces (q_lo, q_hi), each q checked to lie in its piece."""
+    pairs = []
+    for q_lo, q_hi in pieces:
+        for q, count in floor_sums._blocks(x, q_lo, q_hi):
+            assert q.dtype == count.dtype == np.int64
+            assert ((q_lo <= q) & (q < q_hi)).all(), (x, q_lo, q_hi)
+            pairs += zip(q.tolist(), count.tolist())
+    return pairs
+
+
+def test_blocks_match_distinct_quotients_all_x_to_2000(monkeypatch):
+    # [1, x] cut where sum_blocked cuts it (its table top T for both kinds,
+    # and the sieve windows of the tau table) and where sum_dual cuts it at
+    # criterion 3's splits; window 1 puts every block in a window of its own
+    for window in (sieve._WINDOW, 1, 2, 7):
+        monkeypatch.setattr(sieve, "_WINDOW", window)
+        for x in range(1, 2001):
+            r = math.isqrt(x)
+            cuts = {1, x + 1} | {min(x, c * r) + 1 for c in (16, 4)}
+            cuts |= {hi for _, hi in sieve.windows(1, min(x, 4 * r) + 1)}
+            cuts |= {x // (N + 1) + 1 for N in {max(1, introot(x**7, 15)), 1, r, x}}
+            edges = sorted(cuts)
+            pairs = enumerated_blocks(x, zip(edges, edges[1:]))
+            assert len({q for q, _ in pairs}) == len(pairs), (window, x)
+            assert sorted(pairs) == sorted(
+                (b.q, b.n_hi - b.n_lo + 1) for b in distinct_quotients(x).blocks), (window, x)
+
+
+@pytest.mark.parametrize("x", [2**52 + 1, 2**60 + 12345, 10**18])
+def test_blocks_int64_quotients_match_python_ints(x):
+    # above 2**52 _window_quotients divides in int64: the dense part at
+    # q < 1001, and the single-n blocks of n near 1000, against Python ints
+    assert _window_quotients(x, 1, 1002).tolist() == [x // n for n in range(1, 1002)]
+    dense = [(q, x // q - x // (q + 1)) for q in range(1, 1001)]
+    sparse = [(x // n, 1) for n in range(980, 1010) if x // 1000 <= x // n < x // 990]
+    pairs = enumerated_blocks(x, [(1, 1001), (x // 1000, x // 990)])
+    assert sorted(pairs) == sorted(dense + sparse)
+
+
 def test_sum_blocked_equals_direct_small():
     for x in range(1, 2001):
         assert sum_blocked(tau(2), x) == sum_direct(tau(2), x), x
@@ -219,8 +261,11 @@ def test_sum_blocked_window_size_invariance(monkeypatch):
     whole = [sum_blocked(kind, x) for kind in kinds]
     # 997-entry windows: about 176 of them, with borders inside the
     # large-quotient side and inside the single-n side
+    N = introot(x**7, 15)
+    dual = [(s.total, s.psi_form_discrepancy) for s in (sum_dual(kind, x, N) for kind in kinds)]
     monkeypatch.setattr(sieve, "_WINDOW", 997)
     assert [sum_blocked(kind, x) for kind in kinds] == whole
+    assert [(s.total, s.psi_form_discrepancy) for s in (sum_dual(kind, x, N) for kind in kinds)] == dual
 
 
 @pytest.mark.parametrize("module, run, top", [
@@ -478,6 +523,11 @@ def test_block_sums_respect_term_budget():
         sum_dual(LAMBDA, x, 1, max_terms=10**6)
     with pytest.raises(BudgetExceededError):
         sum_dual(tau(2), 10**6, 10**5, max_terms=10**4)
+    # one charge for all of it: 1500 direct terms plus x // 1501 = 666 tail
+    # blocks, though each part alone fits
+    with pytest.raises(BudgetExceededError):
+        sum_dual(tau(2), 10**6, 1500, max_terms=2001)
+    assert sum_dual(tau(2), 10**6, 1500, max_terms=2166).total == sum_direct(tau(2), 10**6)
     # at x = 1e12 the tau table alone is 4e6 entries: refused before any work
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
