@@ -2,14 +2,18 @@
 
 Subcommands: sieve, floorsum, constant, errfit, vaaler-check,
 vaughan-check, exppair, balance, expsum, classify. Each _cmd_* computes
-and returns a Report, its JSON payload and CSV rows; one emitter, _emit,
-writes either as --format picks and is the only writer to stdout. CSV
-columns are declared once, next to each subparser, and give both the
---help epilog and the CSV header. JSON keys are sorted and rationals are
-{"num": ..., "den": ...} strings, so identical inputs give byte-identical
-output. A CSV cell is empty for None, a float's repr, or two cells for a
-complex (re, im) and a Fraction (num, den). Exit codes: 0 success, 2
-usage error, 3 domain error, 4 budget exceeded.
+and returns a Report, its JSON payload and its CSV table as equal-length
+columns; one emitter, _emit, writes either as --format picks and is the
+only writer to stdout. CSV columns are declared once, next to each
+subparser, and give both the --help epilog and the CSV header. JSON keys
+are sorted and rationals are {"num": ..., "den": ...} strings, so
+identical inputs give byte-identical output. A CSV cell is an int's
+digits, a float's repr, empty for None, two cells for a complex (re, im)
+and a Fraction (num, den), and str() of anything else. The CSV is written
+_CSV_BLOCK rows at a time, each block with one %-format call whose
+conversion is picked per column from the types of that column's cells in
+the block, so its memory is bounded by the block, not the table. Exit
+codes: 0 success, 2 usage error, 3 domain error, 4 budget exceeded.
 
 Three flags are shared, each declared only by the subcommands that read
 it: --max-terms by floorsum, constant, errfit, vaaler-check,
@@ -27,7 +31,7 @@ import re
 import signal
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,11 +49,12 @@ _F_RE = re.compile(r"^tau(\d+)$")
 
 
 class Report(NamedTuple):
-    """A subcommand's JSON payload; its CSV rows of cell values, the
-    condition of their declared header ("" by default), and a last JSON line."""
+    """A subcommand's JSON payload; its CSV table as equal-length columns
+    (numpy arrays, ranges or tuples), the condition of their declared
+    header ("" by default), and a last JSON line."""
 
     payload: dict[str, Any]
-    rows: Iterable[tuple]
+    columns: Sequence[Sequence]
     when: str = ""
     trailer: dict[str, Any] | None = None
 
@@ -78,7 +83,13 @@ def _finite(text: str) -> float:
     return value
 
 
+# the cell types json.dumps writes as they are, so a list of them is not walked
+_JSON_SCALARS = {int, str, bool, type(None)}
+
+
 def _jsonify(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, complex):
@@ -88,6 +99,8 @@ def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            return obj
         return [_jsonify(v) for v in obj]
     return obj
 
@@ -104,13 +117,36 @@ _CELLS = {
     Fraction: lambda v: f"{v.numerator},{v.denominator}",
 }
 
+# rows per CSV write: large enough that the per-block calls cost nothing,
+# small enough that a block's strings stay a few hundred kB
+_CSV_BLOCK = 1 << 13
 
-def _csv_line(row: tuple) -> str:
-    return ",".join([_CELLS.get(type(v), str)(v) for v in row]) + "\n"
+
+def _conversion(block: Sequence) -> tuple[str, Sequence]:
+    """One column's cells in a block as a %-conversion and its arguments:
+    %d for ints, %r for floats, else each cell by _CELLS as %s."""
+    cells = block.tolist() if isinstance(block, np.ndarray) else block
+    types = set(map(type, cells))
+    if types == {int}:
+        return "%d", cells
+    if types == {float}:
+        return "%r", cells
+    return "%s", [_CELLS.get(type(v), str)(v) for v in cells]
+
+
+def _csv_block(columns: Sequence[Sequence], start: int) -> str:
+    """Rows [start, start + _CSV_BLOCK) of the table as CSV lines."""
+    conversions, cells = zip(*(_conversion(c[start : start + _CSV_BLOCK]) for c in columns))
+    rows, width = len(cells[0]), len(cells)
+    flat = [None] * (rows * width)  # the block's cells in row order
+    for j, column in enumerate(cells):
+        flat[j::width] = column
+    return (",".join(conversions) + "\n") * rows % tuple(flat)
 
 
 def _emit(args: argparse.Namespace, report: Report) -> None:
-    """Write the report in args.format, one CSV row at a time."""
+    """Write the report in args.format; a CSV table goes out _CSV_BLOCK
+    rows per write, so it never exists as text or Python objects whole."""
     write = sys.stdout.write
     if args.format == "json":
         write(_json_line(report.payload))
@@ -118,8 +154,8 @@ def _emit(args: argparse.Namespace, report: Report) -> None:
     header = args.columns[report.when]
     if header is not None:
         write(header + "\n")
-    for row in report.rows:
-        write(_csv_line(row))
+    for start in range(0, len(report.columns[0]), _CSV_BLOCK):
+        write(_csv_block(report.columns, start))
     if report.trailer is not None:
         write(_json_line(report.trailer))
 
@@ -255,6 +291,11 @@ def _num_json(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _row(*cells) -> tuple[tuple, ...]:
+    """A one-row CSV table: one one-element column per cell."""
+    return tuple((c,) for c in cells)
+
+
 def _cmd_sieve(args) -> Report:
     kind = _parse_kind(args.kind)
     if args.cache:
@@ -262,9 +303,8 @@ def _cmd_sieve(args) -> Report:
                                          max_entries=args.max_entries)
     else:
         table = sieve_table(kind, args.lo, args.hi, max_entries=args.max_entries)
-    values = table.values.tolist()
-    payload = {"kind": kind.label, "lo": args.lo, "hi": args.hi, "values": values}
-    return Report(payload, zip(range(args.lo, args.hi), values))
+    payload = {"kind": kind.label, "lo": args.lo, "hi": args.hi, "values": table.values}
+    return Report(payload, (range(args.lo, args.hi), table.values))
 
 
 def _cmd_floorsum(args) -> Report:
@@ -281,7 +321,7 @@ def _cmd_floorsum(args) -> Report:
         sum_f = floor_sums.sum_direct if args.method == "direct" else floor_sums.sum_blocked
         value = sum_f(kind, args.x, max_terms=args.max_terms)
         payload["value"] = _num_json(value)
-    return Report(payload, [(value,)])
+    return Report(payload, _row(value))
 
 
 def _cmd_constant(args) -> Report:
@@ -290,7 +330,7 @@ def _cmd_constant(args) -> Report:
     bracket = constants.main_constant(kind, args.terms, order=args.order)
     payload = {"kind": kind.name, "k": kind.k, "terms": bracket.terms_used,
                "lo": bracket.lo, "hi": bracket.hi}
-    return Report(payload, [tuple(payload.values())])
+    return Report(payload, _row(*payload.values()))
 
 
 def _cmd_errfit(args) -> Report:
@@ -305,8 +345,9 @@ def _cmd_errfit(args) -> Report:
                    "points_used": fit.points_used, "points_excluded": fit.points_excluded}
     points = [{"x": x, "S": s, "E": e, "C_lo": bracket.lo, "C_hi": bracket.hi}
               for x, s, e in zip(series.xs, series.sums, series.errors)]
-    return Report({"series": points, "fit": fit_payload},
-                  [tuple(p.values()) for p in points], trailer={"fit": fit_payload})
+    n = len(points)
+    columns = (series.xs, series.sums, series.errors, (bracket.lo,) * n, (bracket.hi,) * n)
+    return Report({"series": points, "fit": fit_payload}, columns, trailer={"fit": fit_payload})
 
 
 def _cmd_vaaler_check(args) -> Report:
@@ -318,7 +359,7 @@ def _cmd_vaaler_check(args) -> Report:
                "min_delta": check.min_delta}
     columns = (check.xs, check.psi_values, check.psi_star_values, check.delta_values,
                -check.violations)
-    return Report(payload, zip(*(c.tolist() for c in columns)))
+    return Report(payload, columns)
 
 
 def _cmd_vaughan_check(args) -> Report:
@@ -336,7 +377,7 @@ def _cmd_vaughan_check(args) -> Report:
     payload = {"D": dec.D, "D1": dec.D1, "U": dec.U, "T1": dec.t1, "T2": dec.t2,
                "T3": dec.t3, "direct": dec.direct, "abs_err": dec.abs_err,
                "rel_err": dec.rel_err}
-    return Report(payload, [tuple(payload.values())])
+    return Report(payload, _row(*payload.values()))
 
 
 def _bound_payload(bound: ep.BoundEvaluation) -> dict:
@@ -368,7 +409,7 @@ def _cmd_exppair(args) -> Report:
         if None in values:
             raise DomainError(f"bound {args.bound} needs --{names[values.index(None)]}")
         payload["bound"] = _bound_payload(formula(result, *values))
-    return Report(payload, [(result.kappa, result.lambda_)])
+    return Report(payload, _row(result.kappa, result.lambda_))
 
 
 def _cmd_balance(args) -> Report:
@@ -389,7 +430,8 @@ def _cmd_balance(args) -> Report:
         "assignment": dict(solution.assignment),
         "active": list(solution.active),
     }
-    return Report(payload, [*solution.assignment.items(), ("value", solution.value)])
+    return Report(payload, ((*solution.assignment, "value"),
+                            (*solution.assignment.values(), solution.value)))
 
 
 def _cmd_expsum(args) -> Report:
@@ -405,7 +447,7 @@ def _cmd_expsum(args) -> Report:
         payload = {"scenario": scenario.describe(), "value": result.value,
                    "modulus": result.modulus, "terms": result.terms,
                    "trivial_bound": result.trivial_bound}
-        return Report(payload, [(*cells, result.modulus, result.trivial_bound)])
+        return Report(payload, _row(*cells, result.modulus, result.trivial_bound))
     pair = _parse_pair(args.pair) if args.pair else None
     report = expsum.bound_comparison(scenario, pair, args.bound.upper(),
                                      max_terms=args.max_terms)
@@ -413,7 +455,7 @@ def _cmd_expsum(args) -> Report:
                "measured": report.measured, "trivial_bound": report.trivial_bound,
                "bound": _bound_payload(report.bound), "ratio": report.ratio,
                "flagged": report.flagged}
-    return Report(payload, [(*cells, report.measured, report.bound.value, report.ratio)],
+    return Report(payload, _row(*cells, report.measured, report.bound.value, report.ratio),
                   when="with --bound")
 
 
@@ -425,8 +467,8 @@ def _cmd_classify(args) -> Report:
     split = expsum.classify_factorization(args.k, args.D, factors)
     payload = {"k": split.k, "D": split.D, "factors": list(split.factors),
                "case": split.case, "t": split.t, "L1": split.l1, "L2": split.l2}
-    return Report(payload, [(split.k, split.D, ";".join(map(str, split.factors)),
-                             split.case, split.t, split.l1, split.l2)])
+    return Report(payload, _row(split.k, split.D, ";".join(map(str, split.factors)),
+                                split.case, split.t, split.l1, split.l2))
 
 
 def main(argv=None) -> int:

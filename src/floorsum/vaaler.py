@@ -25,6 +25,11 @@ import numpy as np
 from .errors import DomainError
 
 _SERIES_CUTOFF = 1e-4
+# grid points per block of the x-by-h tables: memory O(_GRID_BLOCK * H).
+# A multiple of the row groups of BLAS's matrix-vector kernel, so a row sums
+# in the order of a single-threaded whole-grid product; a row at a partial
+# group (the grid's last few, or one alone) may differ from it in the last bit.
+_GRID_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,32 @@ def _frac(x) -> np.ndarray:
     return arr - np.floor(arr)
 
 
+def _harmonic_sum(frac: np.ndarray, wave, weights: np.ndarray) -> np.ndarray:
+    """sum_{1 <= h <= H} weights[h - 1] wave(2 pi h x) at each x of frac,
+    _GRID_BLOCK grid points at a time, so the x-by-h table is never whole."""
+    h = np.arange(1, weights.size + 1, dtype=np.float64)
+    rows = np.atleast_1d(frac)
+    out = np.empty(rows.shape)
+    for start in range(0, rows.size, _GRID_BLOCK):
+        block = rows[start : start + _GRID_BLOCK]
+        out[start : start + block.size] = wave(2.0 * np.pi * block[:, None] * h[None, :]) @ weights
+    return out
+
+
 def psi_star(x, H: int):
     """The degree-H approximation, real by conjugate pairing of the +-h
     terms; periodic with period 1 (the argument is reduced mod 1)."""
     approx = build_approximation(H)
-    frac = _frac(x)
     h = np.arange(1, H + 1, dtype=np.float64)
-    table = np.sin(2.0 * np.pi * np.atleast_1d(frac)[:, None] * h[None, :])
-    vals = -(table @ (approx.taper_weights / (np.pi * h)))
+    vals = -_harmonic_sum(_frac(x), np.sin, approx.taper_weights / (np.pi * h))
     return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 
 def delta_majorant(x, H: int):
     """The Fejer majorant; nonnegative, 1/2 at integers, mean 1/(2H+2)."""
     approx = build_approximation(H)
-    frac = _frac(x)
-    h = np.arange(1, H + 1, dtype=np.float64)
-    table = np.cos(2.0 * np.pi * np.atleast_1d(frac)[:, None] * h[None, :])
-    vals = (1.0 + 2.0 * (table @ approx.fejer_weights[1:])) / (2.0 * H + 2.0)
+    table_sum = _harmonic_sum(_frac(x), np.cos, approx.fejer_weights[1:])
+    vals = (1.0 + 2.0 * table_sum) / (2.0 * H + 2.0)
     return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 

@@ -146,7 +146,8 @@ def decompose(D: int, g, *, D1: int | None = None) -> VaughanDecomposition:
 
     mu_top = D1 // (U + 1)
     mu_small = sieve_table(MU, 1, max(U, mu_top) + 1).values
-    logs = np.log(np.arange(1, D1 + 1, dtype=np.float64))
+    logs = np.arange(1, D1 + 1, dtype=np.float64)
+    np.log(logs, out=logs)
 
     t1_parts = []
     for m in range(1, U + 1):
@@ -157,6 +158,7 @@ def decompose(D: int, g, *, D1: int | None = None) -> VaughanDecomposition:
         if k_hi > k_lo:
             t1_parts.append(mu_m * np.dot(logs[k_lo : k_hi], block(m, k_lo, k_hi)))
     t1 = complex(np.sum(np.array(t1_parts, dtype=np.complex128)))
+    del logs  # D1 doubles, freed before the Lambda table and lam * g_vals exist
 
     c_table = c_coefficients(U)
     c_float = _c_floats(c_table)

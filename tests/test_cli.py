@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import floorsum
-from floorsum import decompose, error_series, main_constant, tau
+from floorsum import cli, decompose, error_series, main_constant, sieve_table, tau
 from floorsum.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
+from floorsum.sieve import LAMBDA
 
 
 def run(capsys, *argv):
@@ -489,3 +491,92 @@ def test_closed_pipe_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode in (0, -signal.SIGPIPE)
+
+
+# The reference formatter: one CSV line per row, one Python call per cell,
+# and a JSON conversion that walks every value.
+REFERENCE_CELLS = {
+    type(None): lambda v: "",
+    float: float.__repr__,
+    complex: lambda v: f"{v.real!r},{v.imag!r}",
+    F: lambda v: f"{v.numerator},{v.denominator}",
+}
+
+
+def reference_csv_line(row):
+    return ",".join([REFERENCE_CELLS.get(type(v), str)(v) for v in row]) + "\n"
+
+
+def reference_jsonify(obj):
+    if isinstance(obj, np.ndarray):
+        return reference_jsonify(obj.tolist())
+    if isinstance(obj, F):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if isinstance(obj, complex):
+        return {"re": repr(obj.real), "im": repr(obj.imag)}
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonify(v) for v in obj]
+    return obj
+
+
+def reference_output(argv):
+    args = _build_parser().parse_args(argv)
+    report = args.run(args)
+    if args.format == "json":
+        return json.dumps(reference_jsonify(report.payload), sort_keys=True) + "\n"
+    header = args.columns[report.when]
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in report.columns]
+    lines = [] if header is None else [header + "\n"]
+    lines += [reference_csv_line(row) for row in zip(*columns)]
+    if report.trailer is not None:
+        lines.append(json.dumps(reference_jsonify(report.trailer), sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    # tables that cross block borders and end in a partial block
+    ("sieve", "--kind", "lambda", "--lo", "1", "--hi", "70001"),
+    ("sieve", "--kind", "mu", "--lo", str(10**9 + 7), "--hi", str(10**9 + 20007)),
+    ("vaaler-check", "--H", "5", "--points", "40000"),
+    # one-row reports with None, Fraction, complex, bool and float cells
+    ("classify", "--k", "2", "--D", str(2**20), "--factors", f"{2**6},{2**14}"),
+    ("balance", "--param", "r", "--param", "w", "--form", "7/15+r", "--form", "11/24+(7/12)w",
+     "--form", "1/2-w-r"),
+    ("exppair", "--word", "BA^5", "--base", "13/84,55/84", "--bound", "vdc", "--Y", "100",
+     "--X", "100"),
+    ("vaughan-check", "--D", "500", "--g", "random", "--seed", "3"),
+    ("floorsum", "--f", "lambda", "--x", "1000"),
+    ("floorsum", "--f", "lambda", "--x", "1000", "--method", "dual", "--N", "10"),
+    # a list of dicts of floats, and a trailing fit line
+    ("errfit", "--f", "lambda", "--x-lo", "1000", "--x-hi", "16000", "--terms", "10000"),
+])
+def test_output_is_the_reference_formatters(capsys, argv, fmt):
+    expected = reference_output([*argv, "--format", fmt])
+    assert run(capsys, *argv, "--format", fmt) == (EXIT_OK, expected, "")
+    if argv[0] == "sieve" and fmt == "csv":
+        assert len(expected.splitlines()) > 2 * cli._CSV_BLOCK + 1
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_csv_memory_is_bounded_by_the_block(monkeypatch):
+    # a 2^20-row table as Python ints alone would take more than 8 MB
+    table = sieve_table(LAMBDA, 10**9, 10**9 + 2**20)
+    monkeypatch.setattr(cli, "sieve_table", lambda *args, **kwargs: table)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["sieve", "--kind", "lambda", "--lo", str(table.lo), "--hi", str(table.hi)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 4 * 2**20

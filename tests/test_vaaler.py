@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from floorsum import vaaler
 from floorsum.errors import DomainError
 from floorsum.vaaler import (
     build_approximation,
@@ -156,3 +158,19 @@ def test_check_rejects_bad_grid():
     with pytest.raises(DomainError):
         check_vaaler_inequality(5, np.array([]))
 
+
+
+@pytest.mark.parametrize("series", [psi_star, delta_majorant])
+def test_grid_memory_is_bounded_by_the_block(series):
+    # 2e5 points at H = 50: one whole x-by-h table would be 80 MB
+    xs = np.linspace(-2.0, 2.0, 2 * 10**5)
+    tracemalloc.start()
+    try:
+        vals = series(xs, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    oracle = oracle_psi_star if series is psi_star else oracle_delta
+    for i in (0, vaaler._GRID_BLOCK - 1, vaaler._GRID_BLOCK, xs.size - 1):
+        assert vals[i] == pytest.approx(oracle(xs[i], 50), abs=1e-12)
